@@ -7,6 +7,7 @@ decision, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from .core import Universe
 from .dag import MAX_DAG_ENUM_NODES, enumerate_dags
 from .logic import (
     ENTAILMENT_FAMILY_GATES,
-    FormulaSyntaxError,
     ValuationBudgetError,
     entails,
     model_satisfies,
@@ -166,14 +166,22 @@ def _run_model(args: argparse.Namespace) -> int:
     return _decide("SEMIGRAPHOID", "NOT SEMIGRAPHOID", not violations)
 
 
+def _formula_text(arg: str) -> str:
+    """The text of the file ``arg`` names, or ``arg`` itself if it names no file."""
+    path = Path(arg)
+    try:
+        is_file = path.is_file()
+    except OSError as exc:
+        if exc.errno != errno.ENAMETOOLONG:
+            raise
+        is_file = False  # too long to be a file name, so it is formula text
+    return path.read_text() if is_file else arg
+
+
 def _run_formula(args: argparse.Namespace) -> int:
     if args.subcommand == "eval":
         model = formats.load_model(args.model)
-        text = args.formula
-        candidate = Path(text)
-        if candidate.is_file():
-            text = candidate.read_text()
-        formula = parse_formula(text)
+        formula = parse_formula(_formula_text(args.formula))
         return _decide("SATISFIED", "NOT SATISFIED", model_satisfies(model, formula))
     given_model = formats.load_model(args.given)
     universe = given_model.universe
@@ -225,10 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (formats.FormatError, FormulaSyntaxError, CliInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValuationBudgetError, ValueError, OSError) as exc:
+    except (ValueError, ValuationBudgetError, OSError) as exc:
+        # FormatError, FormulaSyntaxError and CliInputError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -206,9 +206,15 @@ class Dag:
         )
 
 
-def _arc_bit_layout(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def _arc_bit_layout(n: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (i, j), i != j, in lexicographic order; pair k is bit k."""
-    return [(i, j) for i in range(n) for j in range(n) if j != i]
+    return tuple((i, j) for i in range(n) for j in range(n) if j != i)
+
+
+def arc_bit(n: int, u: int, v: int) -> int:
+    """Bit index of the arc ``u -> v`` in the arc bitmasks of ``n``-node DAGs."""
+    return u * (n - 1) + v - (v > u)
 
 
 def _acyclic_arc_masks(n: int) -> Iterator[int]:
@@ -217,29 +223,44 @@ def _acyclic_arc_masks(n: int) -> Iterator[int]:
     Depth-first over bit positions from the most significant down, taking the
     0-branch first, so masks come out in counting order. A branch that sets a
     cycle-closing arc is pruned wholesale: supersets of a cyclic arc set stay
-    cyclic.
+    cyclic. ``reach[w]`` is the set of nodes ``w`` reaches along chosen arcs.
     """
     pairs = _arc_bit_layout(n)
-    total = len(pairs)
-
-    def walk(bit: int, mask: int, reach: list[int]) -> Iterator[int]:
+    stack = [(len(pairs) - 1, 0, (0,) * n)]
+    while stack:
+        bit, mask, reach = stack.pop()
         if bit < 0:
             yield mask
-            return
-        yield from walk(bit - 1, mask, reach)
+            continue
         u, v = pairs[bit]
-        if (reach[v] >> u) & 1:
-            return  # v already reaches u; adding u->v closes a cycle
-        grown = list(reach)
-        added = grown[v] | (1 << v)
-        source = (1 << u) | sum(
-            1 << w for w in range(n) if (grown[w] >> u) & 1
-        )
-        for w in bits_of(source):
-            grown[w] |= added
-        yield from walk(bit - 1, mask | (1 << bit), grown)
+        if not (reach[v] >> u) & 1:  # else v already reaches u: u -> v closes a cycle
+            added = reach[v] | (1 << v)
+            grown = tuple(
+                r | added if w == u or (r >> u) & 1 else r for w, r in enumerate(reach)
+            )
+            stack.append((bit - 1, mask | (1 << bit), grown))
+        stack.append((bit - 1, mask, reach))  # popped first: the 0-branch
 
-    yield from walk(total - 1, 0, [0] * n)
+
+@lru_cache(maxsize=None)
+def acyclic_arc_masks(n: int) -> tuple[int, ...]:
+    """Arc bitmasks of all DAGs on ``n`` nodes, ascending; built once per ``n``.
+
+    The table is keyed by the node count alone, so universes that differ only
+    in their labels share it. Index ``k`` holds the arc mask of the
+    ``(k + 1)``-th DAG that ``enumerate_dags`` yields, so a bisect into the
+    table decides whether an arc mask is acyclic and finds its position in
+    enumeration order. Gated at ``MAX_DAG_ENUM_NODES`` nodes.
+    """
+    if n > MAX_DAG_ENUM_NODES:
+        raise ValueError(f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes")
+    return tuple(_acyclic_arc_masks(n))
+
+
+def dag_of_mask(universe: Universe, mask: int) -> Dag:
+    """The DAG whose arcs are the set bits of ``mask`` (see ``arc_bit``)."""
+    pairs = _arc_bit_layout(universe.n)
+    return Dag(universe, frozenset(pairs[k] for k in bits_of(mask)))
 
 
 def enumerate_dags(universe: Universe) -> Iterator[Dag]:
@@ -249,17 +270,5 @@ def enumerate_dags(universe: Universe) -> Iterator[Dag]:
     ordered pair of the lexicographic (i, j), i != j list. Gated at
     ``MAX_DAG_ENUM_NODES`` nodes.
     """
-    n = universe.n
-    if n > MAX_DAG_ENUM_NODES:
-        raise ValueError(f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes")
-    pairs = _arc_bit_layout(n)
-    for mask in _acyclic_arc_masks(n):
-        yield Dag(universe, frozenset(pairs[k] for k in bits_of(mask)))
-
-
-@lru_cache(maxsize=4)
-def all_dags(universe: Universe) -> tuple[Dag, ...]:
-    """Materialized ``enumerate_dags``, cached per universe. Only for n <= 4."""
-    if universe.n > 4:
-        raise ValueError("caching the full DAG list is limited to 4 nodes")
-    return tuple(enumerate_dags(universe))
+    for mask in acyclic_arc_masks(universe.n):
+        yield dag_of_mask(universe, mask)

@@ -4,11 +4,11 @@ plus the semi-graphoid closure check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import IndependencyModel, Triple, enumerate_disjoint_triples
-from .dag import MAX_DAG_ENUM_NODES, Dag, all_dags, enumerate_dags
+from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph, reachable_mask
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -62,6 +62,23 @@ def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
     return True
 
 
+def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
+    """The pairs ``(i, j)``, ``i < j``, for which ``dependent_always`` holds.
+
+    One pass over the model's triples instead of one per pair. A triple
+    whose two disjoint, nonempty sets together form a pair has a singleton on
+    each side, so it separates that pair.
+    """
+    separable = {t.a | t.b for t in model.triples if t.a and t.b}
+    n = model.universe.n
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (1 << i) | (1 << j) not in separable
+    ]
+
+
 def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     """Decide whether some undirected graph's separation model equals ``model``.
 
@@ -70,13 +87,7 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     its separation model with the input triple by triple.
     """
     u = model.universe
-    edges = frozenset(
-        (i, j)
-        for i in range(u.n)
-        for j in range(i + 1, u.n)
-        if dependent_always(model, i, j)
-    )
-    candidate = UndirectedGraph(u, edges)
+    candidate = UndirectedGraph(u, frozenset(_skeleton_edges(model)))
     nbrs = candidate.neighbor_masks
     reach_cache: dict[tuple[int, int], int] = {}
     for t in enumerate_disjoint_triples(u):
@@ -113,36 +124,48 @@ def _dsep_model_matches(dag: Dag, model: IndependencyModel) -> bool:
     return True
 
 
-def _dags_to_scan(model: IndependencyModel) -> Iterator[Dag]:
-    if model.universe.n <= 4:
-        return iter(all_dags(model.universe))
-    return enumerate_dags(model.universe)
-
-
 def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
-    """Scan all DAGs in enumeration order for one inducing ``model``.
+    """Find the first DAG in enumeration order whose d-separation model is ``model``.
 
-    Returns the first witness (or ``None``) together with the number of DAGs
-    examined; with no witness that count covers the whole enumeration.
+    Returns the witness (or ``None``) together with its 1-based position in
+    ``enumerate_dags`` order; with no witness the count is the number of all
+    DAGs on the universe, every one of which is ruled out.
+
+    Only the orientations of one skeleton are compared: a DAG's model leaves
+    two nodes dependent under every conditioning set exactly when they are
+    adjacent, so every DAG inducing ``model`` joins exactly the pairs that
+    ``dependent_always`` reports. The orientations are tried in ascending
+    arc-mask order, which is enumeration order, so the first match is the
+    first witness of a scan over all DAGs. A bisect into the per-``n`` table
+    of acyclic arc masks skips the cyclic orientations and gives the
+    position.
     """
-    if model.universe.n > MAX_DAG_ENUM_NODES:
+    u = model.universe
+    n = u.n
+    if n > MAX_DAG_ENUM_NODES:
         raise ValueError(
             f"causal check needs DAG enumeration, gated at {MAX_DAG_ENUM_NODES} nodes"
         )
-    scanned = 0
-    for dag in _dags_to_scan(model):
-        scanned += 1
-        if _dsep_model_matches(dag, model):
-            return dag, scanned
-    return None, scanned
+    table = acyclic_arc_masks(n)
+    orientations = [0]
+    for i, j in _skeleton_edges(model):
+        forward, backward = 1 << arc_bit(n, i, j), 1 << arc_bit(n, j, i)
+        orientations = [m | arc for m in orientations for arc in (forward, backward)]
+    for mask in sorted(orientations):
+        pos = bisect_left(table, mask)
+        if pos < len(table) and table[pos] == mask:
+            dag = dag_of_mask(u, mask)
+            if _dsep_model_matches(dag, model):
+                return dag, pos + 1
+    return None, len(table)
 
 
 def is_causal(model: IndependencyModel) -> RepresentabilityResult:
     """Decide whether some DAG's d-separation model equals ``model``.
 
-    Exhaustive scan in enumeration order; ties broken by that order, so the
-    witness is deterministic but only unique up to equivalence of induced
-    models.
+    The witness is the first one in DAG enumeration order (see
+    ``scan_causal_witness``), so it is deterministic but only unique up to
+    equivalence of induced models.
     """
     witness, _ = scan_causal_witness(model)
     return RepresentabilityResult(witness is not None, witness, None)
@@ -155,7 +178,6 @@ def check_semigraphoid(model: IndependencyModel) -> list[AxiomViolation]:
     premises are absent can never be violated), in a deterministic order.
     """
     triples = model.triples
-    full = model.universe.full_mask
     ordered = sorted(triples, key=lambda t: (t.a, t.c, t.b))
     violations: list[AxiomViolation] = []
 

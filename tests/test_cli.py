@@ -1,6 +1,8 @@
 """Command-line surface: outputs, exit codes, and diagnostics."""
 
+import errno
 import json
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,24 @@ class TestFormula:
         code = main(["formula", "eval", "--model", model_file, "--formula", str(formula_path)])
         assert code == 1
         assert capsys.readouterr().out.strip() == "NOT SATISFIED"
+
+    def test_eval_text_longer_than_a_file_name(self, model_file, capsys):
+        # Too long to name a file (the usual limit is 255 bytes), so it must be
+        # parsed as formula text rather than fail the file lookup.
+        text = " & ".join(["I(X1, X2, X3) -> I(X3, X2, X1)"] * 14)
+        assert len(text) > 400
+        code = main(["formula", "eval", "--model", model_file, "--formula", text])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "SATISFIED"
+
+    def test_eval_other_file_lookup_errors_still_reported(self, model_file, monkeypatch, capsys):
+        def refuse(self):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "is_file", refuse)
+        code = main(["formula", "eval", "--model", model_file, "--formula", "I(X1, X2, X3)"])
+        assert code == 2
+        assert "Permission denied" in capsys.readouterr().err
 
     def test_eval_syntax_error(self, model_file, capsys):
         assert main(["formula", "eval", "--model", model_file, "--formula", "I(X1,"]) == 2

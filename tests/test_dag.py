@@ -9,8 +9,8 @@ from cimodels.core import Triple, Universe, enumerate_disjoint_triples
 from cimodels.dag import (
     MAX_DAG_ENUM_NODES,
     Dag,
-    _acyclic_arc_masks,
-    all_dags,
+    acyclic_arc_masks,
+    arc_bit,
     enumerate_dags,
 )
 
@@ -238,9 +238,15 @@ class TestEnumeration:
     def test_counts_match_recurrence(self, n):
         assert sum(1 for _ in enumerate_dags(universe_of_size(n))) == dag_count(n)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_mask_order_matches_bruteforce(self, n):
-        assert list(_acyclic_arc_masks(n)) == acyclic_arc_masks_bruteforce(n)
+        table = acyclic_arc_masks(n)
+        assert table == tuple(acyclic_arc_masks_bruteforce(n))
+        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+        assert [d.arcs for d in enumerate_dags(universe_of_size(n))] == [
+            frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
+            for mask in table
+        ]
 
     def test_first_dag_is_edgeless(self):
         first = next(enumerate_dags(universe_of_size(3)))
@@ -256,8 +262,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_dags(universe_of_size(MAX_DAG_ENUM_NODES + 1)))
 
-    def test_all_dags_cached_and_bounded(self):
-        u = universe_of_size(3)
-        assert all_dags(u) is all_dags(u)
+    def test_mask_table_cached_per_node_count_and_gated(self):
+        assert acyclic_arc_masks(3) is acyclic_arc_masks(3)
+        assert len(acyclic_arc_masks(5)) == dag_count(5)
         with pytest.raises(ValueError):
-            all_dags(universe_of_size(5))
+            acyclic_arc_masks(MAX_DAG_ENUM_NODES + 1)
+
+    def test_arc_bit_follows_pair_layout(self):
+        for n in (2, 3, 5):
+            pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+            assert [arc_bit(n, u, v) for u, v in pairs] == list(range(len(pairs)))

@@ -10,6 +10,7 @@ from cimodels.dag import Dag, enumerate_dags
 from cimodels.logic import model_satisfies, parse_formula
 from cimodels.represent import (
     SEMIGRAPHOID_AXIOM_FORMULAS,
+    _skeleton_edges,
     check_semigraphoid,
     dependent_always,
     is_causal,
@@ -20,6 +21,8 @@ from cimodels.repro import build_counterexample_dag
 from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import (
+    acyclic_arc_masks_bruteforce,
+    dag_count,
     random_model,
     semigraphoid_violations_by_placements,
     universe_of_size,
@@ -147,6 +150,69 @@ class TestIsCausal:
         m = IndependencyModel(universe_of_size(6), frozenset())
         with pytest.raises(ValueError):
             is_causal(m)
+
+
+def first_dag_per_model(n):
+    """Each distinct DAG model on ``n`` labels -> (arcs, 1-based position) of
+    the first DAG inducing it, in ascending arc-mask order."""
+    u = universe_of_size(n)
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    first = {}
+    for pos, mask in enumerate(acyclic_arc_masks_bruteforce(n), 1):
+        arcs = frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
+        first.setdefault(Dag(u, arcs).dsep_model().triples, (arcs, pos))
+    return first
+
+
+class TestSkeletonPrunedScan:
+    """The pruned scan returns what a scan over every DAG in order returns."""
+
+    @staticmethod
+    def scan(m):
+        witness, scanned = scan_causal_witness(m)
+        return (witness.arcs if witness else None), scanned
+
+    def test_every_dag_model_small(self):
+        for n in (1, 2, 3, 4):
+            u = universe_of_size(n)
+            for triples, expected in first_dag_per_model(n).items():
+                assert self.scan(IndependencyModel(u, triples)) == expected
+
+    def test_restricted_five_node_models_and_random_models(self):
+        first = first_dag_per_model(4)
+        rng = random.Random(41)
+        u5 = universe_of_size(5)
+        for _ in range(40):
+            order = rng.sample(range(5), 5)
+            p = rng.uniform(0.25, 0.7)
+            arcs = frozenset(
+                (order[i], order[j])
+                for i in range(5)
+                for j in range(i + 1, 5)
+                if rng.random() < p
+            )
+            m = Dag(u5, arcs).dsep_model().restrict(0b11111 & ~(1 << rng.randrange(5)))
+            assert self.scan(m) == first.get(m.triples, (None, dag_count(4)))
+        u4 = universe_of_size(4)
+        for _ in range(30):
+            m = random_model(rng, u4, p=rng.uniform(0.2, 0.8), symmetric=True)
+            assert m.triples not in first
+            assert self.scan(m) == (None, dag_count(4))
+
+    def test_five_cycle_rules_out_every_dag(self):
+        cycle = frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+        m = UndirectedGraph(universe_of_size(5), cycle).separation_model()
+        assert scan_causal_witness(m) == (None, 29281)
+
+    def test_skeleton_is_the_always_dependent_pairs(self):
+        rng = random.Random(43)
+        for n in (2, 3, 4):
+            u = universe_of_size(n)
+            for _ in range(10):
+                m = random_model(rng, u, p=rng.uniform(0.05, 0.5))
+                assert _skeleton_edges(m) == [
+                    (i, j) for i, j in combinations(range(n), 2) if dependent_always(m, i, j)
+                ]
 
 
 class TestCheckSemigraphoid:
