@@ -22,13 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Literal, Mapping
+from operator import itemgetter
+from typing import Callable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe
+from .core import IndependencyModel, Triple, Universe, bits_of
 from .dag import enumerate_dags
 from .ugraph import enumerate_undirected_graphs
 
 DEFAULT_VALUATION_BUDGET = 1 << 24
+
+# Deepest nesting parse_formula accepts. The parser spends up to six stack
+# frames per parenthesized level; the printer, atoms_of and the valuation
+# engine one or two per level; so a formula at the gate stays well inside
+# Python's default recursion limit of 1000 frames.
+MAX_FORMULA_DEPTH = 100
 
 ENTAILMENT_FAMILY_GATES = {"causal": 4, "graph-isomorph": 5}
 
@@ -174,9 +181,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the token list.
+
+    Every method returns the parsed node with its nesting depth: the number of
+    operators and parenthesized groups on the longest path from the node down
+    to a variable or ``empty`` (the brackets of ``I(...)`` do not count). Going past
+    ``MAX_FORMULA_DEPTH`` is a syntax error, checked both when a nested
+    construct opens (so the parser's own recursion stays bounded) and when a
+    node is built (so long operator chains are bounded too).
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # nested constructs entered and not yet closed
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -192,84 +210,93 @@ class _Parser:
             raise FormulaSyntaxError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
         self.advance()
 
-    def formula(self) -> Formula:
-        left = self.disj()
-        if self.peek()[0] == "->":
-            self.advance()
-            return implies(left, self.formula())
-        return left
+    def deeper(self, depth: int, at: int) -> int:
+        """The depth of a construct at offset ``at`` directly above ``depth``."""
+        if depth >= MAX_FORMULA_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at
+            )
+        return depth + 1
 
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.peek()[0] == "|":
-            self.advance()
-            left = Or(left, self.conj())
-        return left
+    def inside(self, parse: Callable[[], tuple], at: int) -> tuple:
+        """Run ``parse`` inside the construct opened at offset ``at``."""
+        self.open = self.deeper(self.open, at)
+        result = parse()
+        self.open -= 1
+        return result
 
-    def conj(self) -> Formula:
-        left = self.neg()
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.neg())
-        return left
+    def chain(self, op: str, node: Callable, operand: Callable[[], tuple]) -> tuple:
+        """A left-associative run of ``operand``s joined by ``op``."""
+        left, depth = operand()
+        while self.peek()[0] == op:
+            at = self.advance()[2]
+            right, right_depth = operand()
+            left, depth = node(left, right), self.deeper(max(depth, right_depth), at)
+        return left, depth
 
-    def neg(self) -> Formula:
+    def formula(self) -> tuple[Formula, int]:
+        left, depth = self.chain("|", Or, self.conj)
+        if self.peek()[0] != "->":
+            return left, depth
+        at = self.advance()[2]
+        right, right_depth = self.inside(self.formula, at)
+        return implies(left, right), self.deeper(max(depth, right_depth), at)
+
+    def conj(self) -> tuple[Formula, int]:
+        return self.chain("&", And, self.neg)
+
+    def neg(self) -> tuple[Formula, int]:
         kind, text, pos = self.peek()
         if kind == "!":
             self.advance()
-            return Not(self.neg())
+            operand, depth = self.inside(self.neg, pos)
+            return Not(operand), self.deeper(depth, pos)
         if kind == "ident" and text == "I":
             self.advance()
             self.expect("(")
-            t1 = self.term()
+            t1, d1 = self.term()
             self.expect(",")
-            t2 = self.term()
+            t2, d2 = self.term()
             self.expect(",")
-            t3 = self.term()
+            t3, d3 = self.term()
             self.expect(")")
-            return Atom(t1, t2, t3)
+            return Atom(t1, t2, t3), max(d1, d2, d3)
         if kind == "(":
             self.advance()
-            inner = self.formula()
+            inner, depth = self.inside(self.formula, pos)
             self.expect(")")
-            return inner
+            return inner, self.deeper(depth, pos)
         raise FormulaSyntaxError(
             f"expected a formula, found {text or 'end of input'!r}", pos
         )
 
-    def term(self) -> Term:
-        left = self.iterm()
-        while self.peek()[0] == "+":
-            self.advance()
-            left = Union_(left, self.iterm())
-        return left
+    def term(self) -> tuple[Term, int]:
+        return self.chain("+", Union_, self.iterm)
 
-    def iterm(self) -> Term:
-        left = self.cterm()
-        while self.peek()[0] == "*":
-            self.advance()
-            left = Intersection(left, self.cterm())
-        return left
+    def iterm(self) -> tuple[Term, int]:
+        return self.chain("*", Intersection, self.cterm)
 
-    def cterm(self) -> Term:
+    def cterm(self) -> tuple[Term, int]:
         kind, text, pos = self.peek()
         if kind == "~":
             self.advance()
-            return Complement(self.cterm())
+            operand, depth = self.inside(self.cterm, pos)
+            return Complement(operand), self.deeper(depth, pos)
         if kind == "ident":
             self.advance()
-            return EMPTY if text == "empty" else Var(text)
+            return (EMPTY if text == "empty" else Var(text)), 0
         if kind == "(":
             self.advance()
-            inner = self.term()
+            inner, depth = self.inside(self.term, pos)
             self.expect(")")
-            return inner
+            return inner, self.deeper(depth, pos)
         raise FormulaSyntaxError(f"expected a term, found {text or 'end of input'!r}", pos)
 
 
 def parse_formula(text: str) -> Formula:
+    """Parse formula text; nesting past ``MAX_FORMULA_DEPTH`` is a syntax error."""
     parser = _Parser(text)
-    result = parser.formula()
+    result, _ = parser.formula()
     kind, found, pos = parser.peek()
     if kind != "end":
         raise FormulaSyntaxError(f"unexpected trailing input {found!r}", pos)
@@ -344,18 +371,18 @@ def _wrap(body: str, prec: int, min_prec: int) -> str:
 
 def atoms_of(formula: Formula) -> tuple[Atom, ...]:
     """Distinct atoms in first-occurrence order."""
+    # An explicit stack: a recursive inner function would be a reference
+    # cycle, keeping each formula alive until the cycle collector runs.
     seen: dict[Atom, None] = {}
-
-    def walk(f: Formula) -> None:
+    stack = [formula]
+    while stack:
+        f = stack.pop()
         if isinstance(f, Atom):
             seen.setdefault(f, None)
         elif isinstance(f, Not):
-            walk(f.operand)
+            stack.append(f.operand)
         else:
-            walk(f.left)
-            walk(f.right)
-
-    walk(formula)
+            stack += (f.right, f.left)
     return tuple(seen)
 
 
@@ -431,14 +458,20 @@ def is_valid_valuation(
     return all(_disjoint(*_atom_sets(atom, valuation)) for atom in atoms_of(formula))
 
 
-def _truth(formula: Formula, atom_truth: Mapping[Atom, bool]) -> bool:
+def _compile_truth(
+    formula: Formula, index: Mapping[Atom, int]
+) -> Callable[[Sequence[bool]], bool]:
+    """The formula as a function of its atoms' truths, atom ``a`` at ``index[a]``."""
     if isinstance(formula, Atom):
-        return atom_truth[formula]
+        return itemgetter(index[formula])
     if isinstance(formula, Not):
-        return not _truth(formula.operand, atom_truth)
+        inner = _compile_truth(formula.operand, index)
+        return lambda truths: not inner(truths)
+    left = _compile_truth(formula.left, index)
+    right = _compile_truth(formula.right, index)
     if isinstance(formula, And):
-        return _truth(formula.left, atom_truth) and _truth(formula.right, atom_truth)
-    return _truth(formula.left, atom_truth) or _truth(formula.right, atom_truth)
+        return lambda truths: left(truths) and right(truths)
+    return lambda truths: left(truths) or right(truths)
 
 
 def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) -> bool:
@@ -449,11 +482,9 @@ def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) 
     """
     if not is_valid_valuation(valuation, formula, model):
         raise ValueError("valuation is not valid for the formula")
-    atom_truth = {
-        atom: Triple(*_atom_sets(atom, valuation)) in model.triples
-        for atom in atoms_of(formula)
-    }
-    return _truth(formula, atom_truth)
+    atoms = atoms_of(formula)
+    truths = [Triple(*_atom_sets(atom, valuation)) in model.triples for atom in atoms]
+    return _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})(truths)
 
 
 def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: int) -> None:
@@ -464,10 +495,58 @@ def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: i
         )
 
 
-def _assignments(universe: Universe, names: tuple[str, ...]) -> Iterator[dict[str, int]]:
-    size = 1 << universe.n
-    for masks in product(range(size), repeat=len(names)):
-        yield dict(zip(names, masks))
+# The valuation engine. Every term is a Boolean combination of variables, so
+# whether one element lies in a term's value depends only on which of the
+# formula's variables contain it: the element's *pattern*, a bitmask over the
+# sorted variable names. A valuation is one pattern per element, and it is
+# valid iff no element's pattern puts it in two terms of one atom, so the valid
+# valuations are exactly P^n for the set P of allowed patterns. Under a pattern
+# each atom places the element in t1, t2, t3 or none of them: a digit 1, 2, 3
+# or 0, the a/c/b code of ``enumerate_disjoint_triples``. An atom's triple
+# (a, c, b) is keyed as ``a | c << n | b << 2n``, so under a valuation its key
+# is the sum of what the element patterns contribute, one bit per element.
+
+
+def _pattern_set(term: Term, index: Mapping[str, int], var_sets: list[int]) -> int:
+    """The patterns under which ``term`` contains the element, as the bits of
+    an int; ``var_sets[j]`` is that set for variable ``j`` and ``var_sets[-1]``
+    holds every pattern."""
+    if isinstance(term, Var):
+        return var_sets[index[term.name]]
+    if isinstance(term, Empty):
+        return 0
+    if isinstance(term, Complement):
+        return var_sets[-1] ^ _pattern_set(term.operand, index, var_sets)
+    left = _pattern_set(term.left, index, var_sets)
+    right = _pattern_set(term.right, index, var_sets)
+    return left | right if isinstance(term, Union_) else left & right
+
+
+def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """Each allowed pattern's per-atom digits; patterns with equal digits are
+    interchangeable, so each digit tuple is listed once."""
+    patterns = 1 << len(names)
+    var_sets = [
+        sum(1 << p for p in range(patterns) if p >> j & 1) for j in range(len(names))
+    ]
+    var_sets.append((1 << patterns) - 1)
+    index = {name: j for j, name in enumerate(names)}
+    term_sets = [
+        [_pattern_set(t, index, var_sets) for t in (atom.t1, atom.t2, atom.t3)]
+        for atom in atoms
+    ]
+    clash = 0
+    for s1, s2, s3 in term_sets:
+        clash |= s1 & s2 | s1 & s3 | s2 & s3
+    return list(
+        dict.fromkeys(
+            tuple(
+                (s1 >> p & 1) + 2 * (s2 >> p & 1) + 3 * (s3 >> p & 1)
+                for s1, s2, s3 in term_sets
+            )
+            for p in bits_of(var_sets[-1] & ~clash)
+        )
+    )
 
 
 def model_satisfies(
@@ -481,23 +560,23 @@ def model_satisfies(
     Quantifies over the variables that occur in the formula (others cannot
     affect satisfaction). Vacuously true when no valid valuation exists.
     Raises ``ValuationBudgetError`` instead of silently truncating when the
-    enumeration would be too large.
+    enumeration would be too large: the cost counts every valuation, valid or
+    not, times the atoms, although only the valid ones are enumerated.
     """
     names = formula_variables(formula)
     atoms = atoms_of(formula)
     _check_budget(model.universe, len(names), len(atoms), budget)
-    triples = model.triples
-    for assignment in _assignments(model.universe, names):
-        valuation = Valuation(model.universe, assignment)
-        atom_truth: dict[Atom, bool] = {}
-        valid = True
-        for atom in atoms:
-            sets = _atom_sets(atom, valuation)
-            if not _disjoint(*sets):
-                valid = False
-                break
-            atom_truth[atom] = Triple(*sets) in triples
-        if valid and not _truth(formula, atom_truth):
+    n = model.universe.n
+    digits = _allowed_digits(atoms, names)
+    # columns[i]: each allowed pattern's per-atom key contributions at element i.
+    columns = []
+    for i in range(n):
+        place = (0, 1 << i, 1 << n + i, 1 << 2 * n + i)
+        columns.append([tuple(place[d] for d in pattern) for pattern in digits])
+    in_model = frozenset(t.a | t.c << n | t.b << 2 * n for t in model.triples).__contains__
+    truth = _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})
+    for valuation in product(*columns):
+        if not truth(tuple(map(in_model, map(sum, zip(*valuation))))):
             return False
     return True
 
@@ -511,31 +590,7 @@ def check_clause(
     """Rule reading of a clause: whenever all negated atoms' triples are in
     the model under a valid valuation, some positive atom's triple is too.
     """
-    atoms = tuple(dict.fromkeys(clause.negatives + clause.positives))
-    names: set[str] = set()
-    for atom in atoms:
-        for t in (atom.t1, atom.t2, atom.t3):
-            names |= term_variables(t)
-    sorted_names = tuple(sorted(names))
-    _check_budget(model.universe, len(sorted_names), len(atoms), budget)
-    triples = model.triples
-    for assignment in _assignments(model.universe, sorted_names):
-        valuation = Valuation(model.universe, assignment)
-        truth: dict[Atom, bool] = {}
-        valid = True
-        for atom in atoms:
-            sets = _atom_sets(atom, valuation)
-            if not _disjoint(*sets):
-                valid = False
-                break
-            truth[atom] = Triple(*sets) in triples
-        if not valid:
-            continue
-        if all(truth[a] for a in clause.negatives) and not any(
-            truth[a] for a in clause.positives
-        ):
-            return False
-    return True
+    return model_satisfies(model, formula_of_clause(clause), budget=budget)
 
 
 # Clause <-> formula translation

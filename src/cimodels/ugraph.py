@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .core import (
@@ -146,8 +146,3 @@ def enumerate_undirected_graphs(universe: Universe) -> Iterator[UndirectedGraph]
         edges = frozenset(pairs[k] for k in bits_of(mask))
         yield UndirectedGraph(universe, edges)
 
-
-@lru_cache(maxsize=8)
-def all_undirected_graphs(universe: Universe) -> tuple[UndirectedGraph, ...]:
-    """Materialized ``enumerate_undirected_graphs``, cached per universe."""
-    return tuple(enumerate_undirected_graphs(universe))

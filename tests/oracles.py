@@ -1,13 +1,15 @@
 """Independent reference implementations and input generators for the tests.
 
 Everything here deliberately avoids the library's algorithms: counting uses a
-closed recurrence, connectivity questions enumerate simple paths, and
-closures iterate the raw arc relation. Slow but obviously right.
+closed recurrence, connectivity questions enumerate simple paths, closures
+iterate the raw arc relation, and formulas are decided by trying every
+assignment of sets to their variables. Slow but obviously right.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 from cimodels.core import IndependencyModel, Triple, Universe, enumerate_disjoint_triples
@@ -17,6 +19,7 @@ from cimodels.logic import (
     Atom,
     Clause,
     Complement,
+    Empty,
     Intersection,
     Not,
     Or,
@@ -204,6 +207,83 @@ def acyclic_arc_masks_bruteforce(n: int) -> list[int]:
     return result
 
 
+def _term_value(term: Term, assignment: dict[str, int], full: int) -> int:
+    if isinstance(term, Var):
+        return assignment[term.name]
+    if isinstance(term, Empty):
+        return 0
+    if isinstance(term, Complement):
+        return full & ~_term_value(term.operand, assignment, full)
+    left = _term_value(term.left, assignment, full)
+    right = _term_value(term.right, assignment, full)
+    return left | right if isinstance(term, Union_) else left & right
+
+
+def _term_names(term: Term) -> set[str]:
+    if isinstance(term, Var):
+        return {term.name}
+    if isinstance(term, Empty):
+        return set()
+    if isinstance(term, Complement):
+        return _term_names(term.operand)
+    return _term_names(term.left) | _term_names(term.right)
+
+
+def _formula_atoms(formula) -> list[Atom]:
+    if isinstance(formula, Atom):
+        return [formula]
+    if isinstance(formula, Not):
+        return _formula_atoms(formula.operand)
+    return _formula_atoms(formula.left) + _formula_atoms(formula.right)
+
+
+def _formula_truth(formula, truth: dict[Atom, bool]) -> bool:
+    if isinstance(formula, Atom):
+        return truth[formula]
+    if isinstance(formula, Not):
+        return not _formula_truth(formula.operand, truth)
+    if isinstance(formula, And):
+        return _formula_truth(formula.left, truth) and _formula_truth(formula.right, truth)
+    return _formula_truth(formula.left, truth) or _formula_truth(formula.right, truth)
+
+
+def _valid_atom_truths(model: IndependencyModel, atoms: list[Atom]):
+    """For every valuation of the atoms' variables, in turn, with every atom's
+    three term values pairwise disjoint: which atoms' triples are in the model.
+    Tries all ``(2**n)**vars`` assignments and skips the invalid ones.
+    """
+    atoms = list(dict.fromkeys(atoms))
+    names = sorted(set().union(*(_term_names(t) for a in atoms for t in (a.t1, a.t2, a.t3))))
+    full = model.universe.full_mask
+    for masks in product(range(full + 1), repeat=len(names)):
+        assignment = dict(zip(names, masks))
+        truth = {}
+        for atom in atoms:
+            s1, s2, s3 = (_term_value(t, assignment, full) for t in (atom.t1, atom.t2, atom.t3))
+            if s1 & s2 or s1 & s3 or s2 & s3:
+                break
+            truth[atom] = Triple(s1, s2, s3) in model.triples
+        else:
+            yield truth
+
+
+def model_satisfies_bruteforce(model: IndependencyModel, formula) -> bool:
+    """Every valid valuation satisfies the formula; vacuously true without one."""
+    return all(
+        _formula_truth(formula, truth)
+        for truth in _valid_atom_truths(model, _formula_atoms(formula))
+    )
+
+
+def check_clause_bruteforce(model: IndependencyModel, clause: Clause) -> bool:
+    """Rule reading, read off directly: under every valid valuation where all
+    negated atoms hold, some positive atom holds."""
+    return all(
+        not all(truth[a] for a in clause.negatives) or any(truth[a] for a in clause.positives)
+        for truth in _valid_atom_truths(model, [*clause.negatives, *clause.positives])
+    )
+
+
 def universe_of_size(n: int) -> Universe:
     return Universe(tuple(str(i) for i in range(n)))
 
@@ -221,7 +301,7 @@ def random_term(
     rng: random.Random, names: list[str], depth: int, complement_free: bool = False
 ) -> Term:
     if depth <= 0 or rng.random() < 0.5:
-        return EMPTY if rng.random() < 0.15 else Var(rng.choice(names))
+        return EMPTY if not names or rng.random() < 0.15 else Var(rng.choice(names))
     kind = rng.randrange(2 if complement_free else 3)
     if not complement_free and kind == 2:
         return Complement(random_term(rng, names, depth - 1))

@@ -168,6 +168,35 @@ class TestFormula:
         assert main(["formula", "eval", "--model", model_file, "--formula", "I(X1,"]) == 2
         assert "offset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 2000 + "I(X1, X2, X3)" + ")" * 2000,
+            "!" * 2000 + "I(X1, X2, X3)",
+            "I(" + "~" * 2000 + "X1, X2, X3)",
+        ],
+        ids=["parentheses", "negations", "complements"],
+    )
+    def test_eval_nesting_past_the_gate(self, model_file, capsys, text):
+        assert main(["formula", "eval", "--model", model_file, "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: formula nested deeper than")
+        assert "Traceback" not in captured.err
+
+    def test_eval_over_the_valuation_budget(self, tmp_path, capsys):
+        # Five variables over five labels: (2**5)**5 valuations times two
+        # atoms is 2**26 checks, past the default budget of 2**24.
+        path = tmp_path / "five.txt"
+        path.write_text("vars: a b c d e\nI a | - | b\n")
+        text = "I(X1, X2, X3) -> I(X4, X5, X1)"
+        assert main(["formula", "eval", "--model", str(path), "--formula", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 67108864 valuation-atom checks exceed the budget of 16777216\n"
+        )
+
     def test_entails(self, model_file, capsys):
         code = main(
             ["formula", "entails", "--family", "causal", "--given", model_file, "--query", "b | - | a"]

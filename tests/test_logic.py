@@ -1,5 +1,6 @@
 """Formula parsing, printing, evaluation, clauses, and entailment."""
 
+import gc
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from cimodels.core import (
 from cimodels.dag import Dag, enumerate_dags
 from cimodels.logic import (
     EMPTY,
+    MAX_FORMULA_DEPTH,
     And,
     Atom,
     Clause,
@@ -25,6 +27,7 @@ from cimodels.logic import (
     Valuation,
     ValuationBudgetError,
     Var,
+    atoms_of,
     check_clause,
     clause_of_formula,
     entails,
@@ -41,7 +44,16 @@ from cimodels.logic import (
     satisfies,
 )
 
-from oracles import random_clause, random_formula, random_model, universe_of_size
+from oracles import (
+    check_clause_bruteforce,
+    model_satisfies_bruteforce,
+    random_atom,
+    random_clause,
+    random_formula,
+    random_model,
+    random_term,
+    universe_of_size,
+)
 
 SYMMETRY = "I(X1, X2, X3) -> I(X3, X2, X1)"
 
@@ -101,6 +113,53 @@ class TestParser:
     def test_empty_keyword_not_a_formula(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("empty")
+
+
+ATOM = "I(X1, X2, X3)"
+
+NESTED_SHAPES = {
+    "parentheses": lambda k: "(" * k + ATOM + ")" * k,
+    "negations": lambda k: "!" * k + ATOM,
+    "complements": lambda k: "I(" + "~" * k + "X1, X2, X3)",
+    "term parentheses": lambda k: "I(" + "(" * k + "X1" + ")" * k + ", X2, X3)",
+    "conjunctions": lambda k: " & ".join([ATOM] * (k + 1)),
+    "arrows": lambda k: " -> ".join([ATOM] * (k + 1)),
+    "unions": lambda k: "I(" + " + ".join(["X1"] * (k + 1)) + ", X2, X3)",
+}
+
+
+class TestDepthGate:
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_at_the_gate(self, shape):
+        f = parse_formula(NESTED_SHAPES[shape](MAX_FORMULA_DEPTH))
+        assert parse_formula(format_formula(f)) == f
+        assert len(atoms_of(f)) == 1
+        m = singleton_model()
+        assert model_satisfies(m, f) == model_satisfies_bruteforce(m, f)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_SHAPES))
+    def test_one_past_the_gate(self, shape):
+        text = NESTED_SHAPES[shape](MAX_FORMULA_DEPTH + 1)
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than") as err:
+            parse_formula(text)
+        assert text[err.value.position - 1] in "(!~&-+"
+
+    @pytest.mark.parametrize("shape", ["parentheses", "negations", "complements"])
+    def test_far_past_the_gate(self, shape):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula(NESTED_SHAPES[shape](5000))
+
+    def test_depths_add_along_a_path(self):
+        half = MAX_FORMULA_DEPTH // 2
+        rest = MAX_FORMULA_DEPTH - half
+        chain = " & ".join([ATOM] * (rest + 1))
+        parse_formula("(" * half + chain + ")" * half)
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula("(" * (half + 1) + chain + ")" * (half + 1))
+        deep_atom = "I(" + "~" * rest + "X1, X2, X3)"
+        parse_formula(" & ".join([deep_atom] * (half + 1)))
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula(" & ".join([deep_atom] * (half + 2)))
 
 
 class TestPrinter:
@@ -368,6 +427,72 @@ class TestClauses:
         c = parse_clause("I(X1,X2,X3) -> I(X3,X2,X1)")
         with pytest.raises(ValuationBudgetError):
             check_clause(m, c, budget=5)
+
+    def test_budget_counts_every_valuation_times_atoms(self):
+        # (2**3)**3 valuations of three variables, two atoms: 1024 checks,
+        # although only 4**3 of those valuations are valid.
+        m = random_model(random.Random(73), universe_of_size(3), p=0.3, symmetric=True)
+        c = parse_clause(SYMMETRY)
+        assert check_clause(m, c, budget=1024)
+        assert model_satisfies(m, formula_of_clause(c), budget=1024)
+        with pytest.raises(ValuationBudgetError, match="1024 valuation-atom checks"):
+            check_clause(m, c, budget=1023)
+        with pytest.raises(ValuationBudgetError, match="1024 valuation-atom checks"):
+            model_satisfies(m, formula_of_clause(c), budget=1023)
+
+
+class TestEngineAgainstOracle:
+    """Seeded random formulas and clauses over 1 to 4 labels and 0 to 3
+    variables, decided by the library and by the brute-force oracles."""
+
+    def test_formulas_and_clauses(self):
+        rng = random.Random(4242)
+        outcomes = {(k, kind): set() for k in range(4) for kind in ("formula", "clause")}
+        for _ in range(800):
+            n = rng.randint(1, 4)
+            k = rng.randint(0, 3)
+            names = ["X1", "X2", "X3"][:k]
+            m = random_model(rng, universe_of_size(n), p=rng.uniform(0.2, 0.7))
+            f = random_formula(rng, names, depth=2)
+            holds = model_satisfies(m, f)
+            assert holds == model_satisfies_bruteforce(m, f), format_formula(f)
+            outcomes[k, "formula"].add(holds)
+            c = random_clause(rng, names)
+            holds = check_clause(m, c)
+            assert holds == check_clause_bruteforce(m, c), format_formula(formula_of_clause(c))
+            outcomes[k, "clause"].add(holds)
+        # Every variable count, zero included, decided both ways.
+        assert all(seen == {True, False} for seen in outcomes.values())
+
+    def test_leaves_no_reference_cycles(self):
+        # Garbage cycles would keep formulas alive until the cycle collector
+        # runs, and an engine that allocates few containers rarely runs it.
+        m = random_model(random.Random(4444), universe_of_size(3), p=0.4)
+        f = parse_formula("I(X1, X2 + X3, X4) & I(X1, X2, X3) -> I(X1, X2, X3 + X4)")
+        gc.collect()
+        gc.disable()
+        try:
+            model_satisfies(m, f)
+            check_clause(m, clause_of_formula(f))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_no_valid_valuation_is_vacuous(self):
+        rng = random.Random(4343)
+        for _ in range(120):
+            n = rng.randint(1, 4)
+            names = ["X1", "X2", "X3"][: rng.randint(0, 3)]
+            m = random_model(rng, universe_of_size(n), p=rng.uniform(0.0, 1.0))
+            # Two terms always overlap, so no valuation is valid.
+            t = random_term(rng, names, 2)
+            clash = Atom(Union_(t, Complement(t)), Complement(EMPTY), EMPTY)
+            f = random_formula(rng, names, depth=2)
+            for g in (And(f, clash), Not(And(clash, f)), Or(f, Not(clash))):
+                assert model_satisfies(m, g)
+                assert model_satisfies_bruteforce(m, g)
+            c = Clause((clash,), (random_atom(rng, names, depth=1),))
+            assert check_clause(m, c) and check_clause_bruteforce(m, c)
 
 
 class TestEntails:
