@@ -10,9 +10,12 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 MAX_UNIVERSE_SIZE = 16
+# Largest universe whose 4**n triples are enumerated; the edgeless graph keeps
+# all of them (n=10: 1,048,576 triples).
+MAX_TRIPLE_ENUM_NODES = 10
 
 
 def bits_of(mask: int) -> Iterator[int]:
@@ -21,6 +24,16 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def submasks(mask: int) -> Iterator[int]:
+    """Yield every subset of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
 
 
 @dataclass(frozen=True)
@@ -109,11 +122,6 @@ class Triple:
         return Triple(self.b, self.c, self.a)
 
 
-def check_disjoint(a: int, c: int, b: int) -> None:
-    if a & c or a & b or c & b:
-        raise ValueError(f"sets must be pairwise disjoint: {a:#x}, {c:#x}, {b:#x}")
-
-
 def enumerate_disjoint_triples(universe: Universe) -> Iterator[Triple]:
     """Yield every ordered triple of pairwise-disjoint sets exactly once.
 
@@ -135,6 +143,33 @@ def enumerate_disjoint_triples(universe: Universe) -> Iterator[Triple]:
             elif digit == 3:
                 b |= 1 << i
         yield Triple(a, c, b)
+
+
+def separated_triples(universe: Universe, reach: Callable[[int, int], int]) -> Iterator[Triple]:
+    """Yield, once each, the disjoint triples a separation oracle separates.
+
+    ``reach(a, c)`` is the set of nodes reachable from a nonempty ``a`` along
+    paths that ``c`` leaves open. ``(a, c, b)`` is separated exactly when
+    ``b`` misses that set, and vacuously when ``a`` or ``b`` is empty, so
+    ``reach`` runs once per ``(a, c)`` and every submask of what it leaves
+    free is a separated ``b``. The empty ``a`` comes last: its triples are in
+    every induced model, so an early-exit comparison learns nothing from
+    them. Gated at ``MAX_TRIPLE_ENUM_NODES`` labels.
+    """
+    if universe.n > MAX_TRIPLE_ENUM_NODES:
+        raise ValueError(
+            f"refusing to enumerate the 4**{universe.n} triples of {universe.n} > "
+            f"{MAX_TRIPLE_ENUM_NODES} labels"
+        )
+    full = universe.full_mask
+    for a in (*range(1, full + 1), 0):
+        rest = full & ~a
+        for c in submasks(rest):
+            free = rest & ~c
+            if a:
+                free &= ~reach(a, c)
+            for b in submasks(free):
+                yield Triple(a, c, b)
 
 
 def compact_mask(mask: int, within: int) -> int:

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .core import (
-    IndependencyModel,
-    Universe,
-    bits_of,
-    check_disjoint,
-    enumerate_disjoint_triples,
-)
+from .core import IndependencyModel, Triple, Universe, bits_of, separated_triples
 from .ugraph import UndirectedGraph
 
 MAX_DAG_ENUM_NODES = 5
@@ -112,9 +106,7 @@ class Dag:
         states, which finds an active walk iff an active path exists. The
         three masks must be pairwise disjoint.
         """
-        for mask in (a, c, b):
-            self.universe.check_mask(mask)
-        check_disjoint(a, c, b)
+        self.universe.check_mask(Triple(a, c, b).span)
         if a == 0 or b == 0:
             return True
         return not self._active_reach(a, c) & b
@@ -153,12 +145,11 @@ class Dag:
         parents pairwise, drop arc directions, and test plain graph
         separation there.
         """
-        for mask in (a, c, b):
-            self.universe.check_mask(mask)
-        check_disjoint(a, c, b)
+        span = Triple(a, c, b).span
+        self.universe.check_mask(span)
         if a == 0 or b == 0:
             return True
-        return self.moralized_ancestral_graph(a | b | c).separates(a, c, b)
+        return self.moralized_ancestral_graph(span).separates(a, c, b)
 
     def moralized_ancestral_graph(self, mask: int) -> UndirectedGraph:
         """Undirected graph on the ancestral closure of ``mask`` with married parents.
@@ -179,20 +170,9 @@ class Dag:
 
     def dsep_model(self) -> IndependencyModel:
         """The model of all disjoint triples this DAG d-separates."""
-        reach_cache: dict[tuple[int, int], int] = {}
-        kept = []
-        for t in enumerate_disjoint_triples(self.universe):
-            if t.a == 0 or t.b == 0:
-                kept.append(t)
-                continue
-            key = (t.a, t.c)
-            reach = reach_cache.get(key)
-            if reach is None:
-                reach = self._active_reach(t.a, t.c)
-                reach_cache[key] = reach
-            if not reach & t.b:
-                kept.append(t)
-        return IndependencyModel(self.universe, frozenset(kept))
+        return IndependencyModel(
+            self.universe, frozenset(separated_triples(self.universe, self._active_reach))
+        )
 
     def dag_pair_connected(self, alpha: int, beta: int) -> bool:
         """True iff the two nodes are joined by an arc in either direction.

@@ -69,6 +69,13 @@ def _check_label(label: str, *, source: str | None, line: int | None) -> None:
         raise FormatError(f"label {label!r} is reserved or malformed", source=source, line=line)
 
 
+def _vars_line(universe: Universe) -> str:
+    """The ``vars:`` header of ``universe``; labels a file could not hold raise."""
+    for label in universe.names:
+        _check_label(label, source=None, line=None)
+    return "vars: " + " ".join(universe.names)
+
+
 def _parse_header(lines: Iterator[tuple[int, str]], *, source: str | None) -> Universe:
     try:
         lineno, content = next(lines)
@@ -151,9 +158,7 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
 
 def format_model(model: IndependencyModel) -> str:
     u = model.universe
-    for label in u.names:
-        _check_label(label, source=None, line=None)
-    lines = ["vars: " + " ".join(u.names)]
+    lines = [_vars_line(u)]
     for t in sorted(model.triples, key=lambda t: (t.a, t.c, t.b)):
         lines.append(f"I {format_triple(u, t)}")
     return "\n".join(lines) + "\n"
@@ -199,9 +204,7 @@ def parse_graph(text: str, *, source: str | None = None) -> UndirectedGraph:
 
 def format_graph(graph: UndirectedGraph) -> str:
     u = graph.universe
-    for label in u.names:
-        _check_label(label, source=None, line=None)
-    lines = ["vars: " + " ".join(u.names)]
+    lines = [_vars_line(u)]
     for i, j in sorted(graph.edges):
         lines.append(f"{u.names[i]} -- {u.names[j]}")
     return "\n".join(lines) + "\n"
@@ -224,9 +227,7 @@ def parse_dag(text: str, *, source: str | None = None) -> Dag:
 
 def format_dag(dag: Dag) -> str:
     u = dag.universe
-    for label in u.names:
-        _check_label(label, source=None, line=None)
-    lines = ["vars: " + " ".join(u.names)]
+    lines = [_vars_line(u)]
     for i, j in sorted(dag.arcs):
         lines.append(f"{u.names[i]} -> {u.names[j]}")
     return "\n".join(lines) + "\n"

@@ -7,9 +7,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import IndependencyModel, Triple, enumerate_disjoint_triples
+from .core import IndependencyModel, Triple, enumerate_disjoint_triples, separated_triples, submasks
 from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
-from .ugraph import UndirectedGraph, reachable_mask
+from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
 # for the independency logic. Literature-standard forms; check_semigraphoid
@@ -84,44 +84,30 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
 
     Constructive: the only possible witness joins exactly the pairs that are
     dependent under every conditioning set, so build that graph and compare
-    its separation model with the input triple by triple.
+    its separation model with the input. On a mismatch, the first enumerated
+    triple on which the two disagree is reported.
     """
-    u = model.universe
-    candidate = UndirectedGraph(u, frozenset(_skeleton_edges(model)))
-    nbrs = candidate.neighbor_masks
-    reach_cache: dict[tuple[int, int], int] = {}
-    for t in enumerate_disjoint_triples(u):
-        if t.a == 0 or t.b == 0:
-            separated = True
-        else:
-            key = (t.a, t.c)
-            reach = reach_cache.get(key)
-            if reach is None:
-                reach = reachable_mask(nbrs, t.a, t.c)
-                reach_cache[key] = reach
-            separated = not reach & t.b
-        if separated != (t in model.triples):
-            return RepresentabilityResult(False, None, t)
-    return RepresentabilityResult(True, candidate, None)
+    candidate = UndirectedGraph(model.universe, frozenset(_skeleton_edges(model)))
+    differ = candidate.separation_model().triples ^ model.triples
+    if not differ:
+        return RepresentabilityResult(True, candidate, None)
+    first = next(t for t in enumerate_disjoint_triples(model.universe) if t in differ)
+    return RepresentabilityResult(False, None, first)
 
 
-def _dsep_model_matches(dag: Dag, model: IndependencyModel) -> bool:
-    """Early-exit comparison of ``dag``'s induced model with ``model``."""
-    reach_cache: dict[tuple[int, int], int] = {}
+def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
+    """True iff ``dag``'s d-separation model is ``model``.
+
+    Stops at the first separated triple ``model`` lacks; with none missing,
+    the two are equal exactly when they have as many triples.
+    """
     triples = model.triples
-    for t in enumerate_disjoint_triples(model.universe):
-        if t.a == 0 or t.b == 0:
-            separated = True
-        else:
-            key = (t.a, t.c)
-            reach = reach_cache.get(key)
-            if reach is None:
-                reach = dag._active_reach(t.a, t.c)
-                reach_cache[key] = reach
-            separated = not reach & t.b
-        if separated != (t in triples):
+    count = 0
+    for t in separated_triples(model.universe, dag._active_reach):
+        if t not in triples:
             return False
-    return True
+        count += 1
+    return count == len(triples)
 
 
 def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
@@ -155,7 +141,7 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
         pos = bisect_left(table, mask)
         if pos < len(table) and table[pos] == mask:
             dag = dag_of_mask(u, mask)
-            if _dsep_model_matches(dag, model):
+            if _dag_induces(dag, model):
                 return dag, pos + 1
     return None, len(table)
 
@@ -187,17 +173,13 @@ def check_semigraphoid(model: IndependencyModel) -> list[AxiomViolation]:
 
     for t in ordered:
         # Split the second set into a kept part and a dropped part.
-        sub = t.b
-        while True:
+        for sub in submasks(t.b):
             kept = Triple(t.a, t.c, sub)
             if kept not in triples:
                 violations.append(AxiomViolation("decomposition", (t,), kept))
             moved = Triple(t.a, t.c | (t.b & ~sub), sub)
             if moved not in triples:
                 violations.append(AxiomViolation("weak_union", (t,), moved))
-            if sub == 0:
-                break
-            sub = (sub - 1) & t.b
 
     by_first_two: dict[tuple[int, int], list[Triple]] = {}
     for t in ordered:

@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
-from .core import (
-    IndependencyModel,
-    Universe,
-    bits_of,
-    check_disjoint,
-    enumerate_disjoint_triples,
-)
+from .core import IndependencyModel, Triple, Universe, bits_of, separated_triples
 
 MAX_GRAPH_ENUM_NODES = 6
 
@@ -70,30 +64,15 @@ class UndirectedGraph:
         pairwise disjoint; overlapping arguments raise instead of being
         normalized away.
         """
-        for mask in (a, c, b):
-            self.universe.check_mask(mask)
-        check_disjoint(a, c, b)
+        self.universe.check_mask(Triple(a, c, b).span)
         if a == 0 or b == 0:
             return True
         return not reachable_mask(self.neighbor_masks, a, c) & b
 
     def separation_model(self) -> IndependencyModel:
         """The model of all disjoint triples this graph separates."""
-        nbrs = self.neighbor_masks
-        reach_cache: dict[tuple[int, int], int] = {}
-        kept = []
-        for t in enumerate_disjoint_triples(self.universe):
-            if t.a == 0 or t.b == 0:
-                kept.append(t)
-                continue
-            key = (t.a, t.c)
-            reach = reach_cache.get(key)
-            if reach is None:
-                reach = reachable_mask(nbrs, t.a, t.c)
-                reach_cache[key] = reach
-            if not reach & t.b:
-                kept.append(t)
-        return IndependencyModel(self.universe, frozenset(kept))
+        reach = partial(reachable_mask, self.neighbor_masks)
+        return IndependencyModel(self.universe, frozenset(separated_triples(self.universe, reach)))
 
     def marginal_graph(self, v_mask: int) -> "UndirectedGraph":
         """Collapse this graph onto the nodes of ``v_mask``.

@@ -276,3 +276,58 @@ class TestDiagnostics:
 
     def test_unknown_label_in_query(self, dag_file, capsys):
         assert main(["dag", "dsep", "--dag", dag_file, "--A", "9", "--C", "", "--B", "3"]) == 2
+
+
+def library_error(call, *args):
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return f"error: {raised.value}\n"
+
+
+class TestLibraryGates:
+    """Gates and empty inputs the library rejects: exit 2, its message, no output."""
+
+    def expect(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_enum_dags_zero_nodes(self, capsys):
+        from cimodels.core import Universe
+
+        message = library_error(Universe, ())
+        self.expect(capsys, ["enum", "dags", "--n", "0"], message)
+
+    @pytest.mark.parametrize("count", [["--count"], []])
+    def test_enum_dags_past_the_gate(self, capsys, count):
+        from cimodels.dag import MAX_DAG_ENUM_NODES, acyclic_arc_masks
+
+        n = MAX_DAG_ENUM_NODES + 1
+        message = library_error(acyclic_arc_masks, n)
+        self.expect(capsys, ["enum", "dags", "--n", str(n), *count], message)
+
+    def test_causal_check_on_six_labels(self, tmp_path, capsys):
+        from cimodels.represent import scan_causal_witness
+
+        path = tmp_path / "six.txt"
+        path.write_text("vars: a b c d e f\n")
+        message = library_error(scan_causal_witness, parse_model(path.read_text()))
+        self.expect(capsys, ["model", "check", "--model", str(path), "--class", "causal"], message)
+
+    def test_causal_entailment_on_five_labels(self, tmp_path, capsys):
+        from cimodels.core import Triple
+        from cimodels.logic import entails
+
+        path = tmp_path / "five.txt"
+        path.write_text("vars: a b c d e\n")
+        universe = parse_model(path.read_text()).universe
+        message = library_error(entails, "causal", (), Triple(0b1, 0, 0b10), universe)
+        argv = ["formula", "entails", "--family", "causal", "--given", str(path)]
+        argv += ["--query", "a | - | b"]
+        self.expect(capsys, argv, message)
+
+    def test_restrict_to_no_labels(self, model_file, capsys):
+        model = parse_model(Path(model_file).read_text())
+        message = library_error(model.restrict, 0)
+        self.expect(capsys, ["model", "restrict", "--model", model_file, "--vars", ""], message)

@@ -31,10 +31,10 @@ def test_partitioned_scan_agrees_with_is_causal():
     quarters = [dags[i::4] for i in range(4)]
 
     def first_match(chunk):
-        from cimodels.represent import _dsep_model_matches
+        from cimodels.represent import _dag_induces
 
         for d in chunk:
-            if _dsep_model_matches(d, model):
+            if _dag_induces(d, model):
                 return d
         return None
 

@@ -1,0 +1,186 @@
+"""The induced-model kernel: ``separated_triples`` checked against the
+path-enumeration oracles, its submask helper, and the triple-enumeration gate.
+"""
+
+import random
+
+import pytest
+
+from cimodels.cli import main
+from cimodels.core import (
+    MAX_TRIPLE_ENUM_NODES,
+    IndependencyModel,
+    Triple,
+    enumerate_disjoint_triples,
+    separated_triples,
+    submasks,
+)
+from cimodels.dag import Dag, enumerate_dags
+from cimodels.represent import dependent_always, is_graph_isomorph, scan_causal_witness
+from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reachable_mask
+
+from oracles import d_separates_by_paths, separates_by_paths, universe_of_size
+
+
+def random_dag(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {
+        (order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
+    }
+    return Dag(universe_of_size(n), frozenset(arcs))
+
+
+def random_graph(rng, n):
+    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
+    return UndirectedGraph(universe_of_size(n), frozenset(edges))
+
+
+def oracle_model(structure, decides):
+    return frozenset(
+        t
+        for t in enumerate_disjoint_triples(structure.universe)
+        if decides(structure, t.a, t.c, t.b)
+    )
+
+
+class TestSubmasks:
+    @pytest.mark.parametrize("mask", [0, 0b1, 0b1011, 0b110100])
+    def test_every_subset_once_from_mask_down_to_zero(self, mask):
+        expected = [s for s in range(mask, -1, -1) if not s & ~mask]
+        assert list(submasks(mask)) == expected
+
+
+class TestKernelAgainstOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_separation_model_every_graph(self, n):
+        for g in enumerate_undirected_graphs(universe_of_size(n)):
+            assert g.separation_model().triples == oracle_model(g, separates_by_paths)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dsep_model_every_dag(self, n):
+        for d in enumerate_dags(universe_of_size(n)):
+            assert d.dsep_model().triples == oracle_model(d, d_separates_by_paths)
+
+    def test_seeded_five_node_structures(self):
+        rng = random.Random(2024)
+        for _ in range(30):
+            d = random_dag(rng, 5)
+            assert d.dsep_model().triples == oracle_model(d, d_separates_by_paths)
+            g = random_graph(rng, 5)
+            assert g.separation_model().triples == oracle_model(g, separates_by_paths)
+
+    def test_no_triple_yielded_twice(self):
+        rng = random.Random(7)
+        for n in (1, 3, 5):
+            for _ in range(10):
+                d = random_dag(rng, n)
+                dag_triples = list(separated_triples(d.universe, d._active_reach))
+                assert len(dag_triples) == len(set(dag_triples))
+                g = random_graph(rng, n)
+                reach = lambda a, c: reachable_mask(g.neighbor_masks, a, c)
+                graph_triples = list(separated_triples(g.universe, reach))
+                assert len(graph_triples) == len(set(graph_triples))
+
+    def test_edgeless_graph_keeps_every_triple(self):
+        u = universe_of_size(5)
+        kept = list(separated_triples(u, lambda a, c: a))
+        assert len(kept) == 4**5
+        assert set(kept) == set(enumerate_disjoint_triples(u))
+
+
+class TestComparisons:
+    """The two callers that compare an induced model with a given one."""
+
+    def test_first_discrepancy_is_the_first_in_enumeration_order(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3):
+            u = universe_of_size(n)
+            models = [g.separation_model() for g in enumerate_undirected_graphs(u)]
+            models += [d.dsep_model() for d in enumerate_dags(u)]
+            for m in list(models):
+                # Drop or add one random triple, the vacuous ones included.
+                t = rng.choice(list(enumerate_disjoint_triples(u)))
+                models.append(IndependencyModel(u, m.triples ^ {t}))
+            for m in models:
+                edges = frozenset(
+                    (i, j) for i in range(n) for j in range(i + 1, n) if dependent_always(m, i, j)
+                )
+                candidate = UndirectedGraph(u, edges)
+                expected = next(
+                    (
+                        t
+                        for t in enumerate_disjoint_triples(u)
+                        if separates_by_paths(candidate, t.a, t.c, t.b) != (t in m.triples)
+                    ),
+                    None,
+                )
+                result = is_graph_isomorph(m)
+                assert result.first_discrepancy == expected
+                assert result.representable == (expected is None)
+
+    def test_scan_rejects_a_dag_model_with_one_triple_more(self):
+        # The candidate then separates nothing the model lacks; only the
+        # triple count tells the two models apart.
+        u = universe_of_size(3)
+        dags = list(enumerate_dags(u))
+        first_position = {}
+        for k, d in enumerate(dags, start=1):
+            first_position.setdefault(d.dsep_model().triples, (d, k))
+        for d in dags:
+            model = d.dsep_model()
+            for t in enumerate_disjoint_triples(u):
+                if t in model:
+                    continue
+                grown = IndependencyModel(u, model.triples | {t})
+                witness, count = first_position.get(grown.triples, (None, len(dags)))
+                found, found_count = scan_causal_witness(grown)
+                assert found_count == count
+                assert (found and found.arcs) == (witness and witness.arcs)
+
+
+class TestDisjointnessMessage:
+    def test_one_message_for_every_decider(self):
+        u = universe_of_size(3)
+        dag = Dag(u, frozenset({(0, 1)}))
+        graph = UndirectedGraph(u, frozenset({(0, 1)}))
+        with pytest.raises(ValueError) as expected:
+            Triple(0b011, 0b010, 0b100)
+        for decide in (graph.separates, dag.d_separates, dag.d_separates_moral):
+            with pytest.raises(ValueError) as raised:
+                decide(0b011, 0b010, 0b100)
+            assert str(raised.value) == str(expected.value)
+
+
+def never_called(a, c):
+    raise AssertionError("enumerated past the gate")
+
+
+class TestTripleGate:
+    def test_gate_admits_the_perfbench_sizes(self):
+        assert MAX_TRIPLE_ENUM_NODES >= 8
+
+    def test_enumerates_at_the_gate(self):
+        # Lazy: only the first (a, c) pair is looked at.
+        u = universe_of_size(MAX_TRIPLE_ENUM_NODES)
+        assert isinstance(next(separated_triples(u, lambda a, c: a)), Triple)
+
+    def test_raises_past_the_gate_without_enumerating(self):
+        u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            next(separated_triples(u, never_called))
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            UndirectedGraph(u, frozenset()).separation_model()
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            Dag(u, frozenset()).dsep_model()
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            is_graph_isomorph(IndependencyModel(u, frozenset()))
+
+    def test_cli_graph_model_past_the_gate(self, tmp_path, capsys):
+        n = MAX_TRIPLE_ENUM_NODES + 1
+        path = tmp_path / "edgeless.txt"
+        path.write_text("vars: " + " ".join(f"v{i}" for i in range(n)) + "\n")
+        assert main(["graph", "model", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: refusing to enumerate")
