@@ -175,6 +175,9 @@ def _run_formula(args: argparse.Namespace) -> int:
 
 
 def _run_enum(args: argparse.Namespace) -> int:
+    if args.n < 0:
+        # range() of a negative count is empty and would report 0 labels.
+        raise ValueError(f"--n cannot be negative, got {args.n}")
     universe = Universe(tuple(str(i) for i in range(args.n)))
     if args.count:
         print(sum(1 for _ in enumerate_dags(universe)))

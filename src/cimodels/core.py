@@ -240,6 +240,16 @@ class IndependencyModel:
         return IndependencyModel(sub, kept)
 
 
+def packed_keys(model: IndependencyModel) -> frozenset[int]:
+    """The model's triples packed into ints, ``a | c << n | b << 2n``.
+
+    Testing a key for membership hashes one int; testing a ``Triple`` first
+    builds it and hashes its three fields.
+    """
+    n = model.universe.n
+    return frozenset(t.a | t.c << n | t.b << 2 * n for t in model.triples)
+
+
 def model_equals(first: IndependencyModel, second: IndependencyModel) -> bool:
     """True iff the two models have identical triple sets.
 

@@ -114,14 +114,27 @@ def format_set(universe: Universe, mask: int) -> str:
 
 def parse_triple(universe: Universe, text: str, *, source: str | None = None, line: int | None = None) -> Triple:
     """A triple written ``<set> | <set> | <set>``."""
+    return _parse_triple(universe, text, {}, source=source, line=line)
+
+
+def _parse_triple(
+    universe: Universe, text: str, masks: dict[str, int], *, source: str | None, line: int | None
+) -> Triple:
+    """``parse_triple`` that looks each set text up in ``masks`` first and
+    adds the texts it parses."""
     parts = text.split("|")
     if len(parts) != 3:
         raise FormatError(
             f"expected '<set> | <set> | <set>', found {text!r}", source=source, line=line
         )
-    a, c, b = (parse_set(universe, p, source=source, line=line) for p in parts)
+    sets = []
+    for part in parts:
+        mask = masks.get(part)
+        if mask is None:
+            mask = masks[part] = parse_set(universe, part, source=source, line=line)
+        sets.append(mask)
     try:
-        return Triple(a, c, b)
+        return Triple(*sets)
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=line) from None
 
@@ -135,8 +148,16 @@ def format_triple(universe: Universe, triple: Triple) -> str:
 
 
 def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
+    """Read a model file.
+
+    Each distinct set text is parsed once per call, through a dict from the
+    raw text between bars to its mask that is not kept between calls. A
+    repeated triple is one whose ``add`` leaves the set's size unchanged, so
+    each triple is hashed once.
+    """
     lines = _content_lines(text)
     universe = _parse_header(lines, source=source)
+    masks: dict[str, int] = {}
     triples: set[Triple] = set()
     for lineno, content in lines:
         if not content.startswith("I ") and content != "I":
@@ -145,22 +166,30 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
                 source=source,
                 line=lineno,
             )
-        triple = parse_triple(universe, content[1:], source=source, line=lineno)
-        if triple in triples:
+        triple = _parse_triple(universe, content[1:], masks, source=source, line=lineno)
+        size = len(triples)
+        triples.add(triple)
+        if len(triples) == size:
             raise FormatError(
                 f"duplicate triple 'I {format_triple(universe, triple)}'",
                 source=source,
                 line=lineno,
             )
-        triples.add(triple)
     return IndependencyModel(universe, frozenset(triples))
 
 
 def format_model(model: IndependencyModel) -> str:
+    """Write a model file, triples sorted by ``(a, c, b)``.
+
+    Each distinct set is written once per call, through a dict from mask to
+    text that is not kept between calls.
+    """
     u = model.universe
     lines = [_vars_line(u)]
+    masks = {m for t in model.triples for m in (t.a, t.c, t.b)}
+    text = {m: format_set(u, m) for m in masks}
     for t in sorted(model.triples, key=lambda t: (t.a, t.c, t.b)):
-        lines.append(f"I {format_triple(u, t)}")
+        lines.append(f"I {text[t.a]} | {text[t.c]} | {text[t.b]}")
     return "\n".join(lines) + "\n"
 
 

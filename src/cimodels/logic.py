@@ -25,16 +25,17 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of
+from .core import IndependencyModel, Triple, Universe, bits_of, packed_keys
 from .dag import enumerate_dags
 from .ugraph import enumerate_undirected_graphs
 
 DEFAULT_VALUATION_BUDGET = 1 << 24
 
-# Deepest nesting parse_formula accepts. The parser spends up to six stack
-# frames per parenthesized level; the printer, atoms_of and the valuation
-# engine one or two per level; so a formula at the gate stays well inside
-# Python's default recursion limit of 1000 frames.
+# Deepest nesting parse_formula accepts, and (by _check_depth) the deepest
+# formula or term built in code that the printer and evaluators accept. The
+# parser spends up to six stack frames per parenthesized level; the printer
+# and the valuation engine one or two per level; so a formula at the gate
+# stays well inside Python's default recursion limit of 1000 frames.
 MAX_FORMULA_DEPTH = 100
 
 ENTAILMENT_FAMILY_GATES = {"causal": 4, "graph-isomorph": 5}
@@ -321,49 +322,90 @@ _T_UNION, _T_INTER, _T_COMPL, _T_LEAF = 1, 2, 3, 4
 
 
 def format_term(term: Term) -> str:
-    return _fmt_term(term, 0)
+    """Render a term.
 
-
-def _fmt_term(term: Term, min_prec: int) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Empty):
-        return "empty"
-    if isinstance(term, Complement):
-        return _wrap("~" + _fmt_term(term.operand, _T_COMPL), _T_COMPL, min_prec)
-    if isinstance(term, Union_):
-        body = f"{_fmt_term(term.left, _T_UNION)} + {_fmt_term(term.right, _T_UNION + 1)}"
-        return _wrap(body, _T_UNION, min_prec)
-    body = f"{_fmt_term(term.left, _T_INTER)} * {_fmt_term(term.right, _T_INTER + 1)}"
-    return _wrap(body, _T_INTER, min_prec)
+    Raises ``ValueError`` when the text would nest deeper than
+    ``MAX_FORMULA_DEPTH`` (see ``_check_depth``).
+    """
+    _check_depth(term, printed=True)
+    return _fmt(term, 0)
 
 
 def format_formula(formula: Formula) -> str:
-    """Render a formula; parsing the result reproduces the identical tree."""
-    return _fmt_formula(formula, 0)
+    """Render a formula; parsing the result reproduces the identical tree.
+
+    Raises ``ValueError`` when the text would nest deeper than
+    ``MAX_FORMULA_DEPTH``, the parser's gate, counting the parentheses the
+    printer adds (see ``_check_depth``).
+    """
+    _check_depth(formula, printed=True)
+    return _fmt(formula, 0)
 
 
-def _fmt_formula(formula: Formula, min_prec: int) -> str:
-    if isinstance(formula, Atom):
-        parts = ", ".join(format_term(t) for t in (formula.t1, formula.t2, formula.t3))
-        return f"I({parts})"
-    if isinstance(formula, Or) and isinstance(formula.left, Not):
-        body = (
-            f"{_fmt_formula(formula.left.operand, _P_IMPLIES + 1)}"
-            f" -> {_fmt_formula(formula.right, _P_IMPLIES)}"
-        )
-        return _wrap(body, _P_IMPLIES, min_prec)
-    if isinstance(formula, Or):
-        body = f"{_fmt_formula(formula.left, _P_OR)} | {_fmt_formula(formula.right, _P_OR + 1)}"
-        return _wrap(body, _P_OR, min_prec)
-    if isinstance(formula, And):
-        body = f"{_fmt_formula(formula.left, _P_AND)} & {_fmt_formula(formula.right, _P_AND + 1)}"
-        return _wrap(body, _P_AND, min_prec)
-    return _wrap("!" + _fmt_formula(formula.operand, _P_NOT), _P_NOT, min_prec)
+def _layout(node: Formula | Term) -> tuple[int, str, tuple[tuple[Formula | Term, int], ...]]:
+    """How an operator node is written: its binding strength, its operator,
+    and each child with the binding strength it needs to go unparenthesized.
+    """
+    if isinstance(node, Complement):
+        return _T_COMPL, "~", ((node.operand, _T_COMPL),)
+    if isinstance(node, Union_):
+        return _T_UNION, " + ", ((node.left, _T_UNION), (node.right, _T_UNION + 1))
+    if isinstance(node, Intersection):
+        return _T_INTER, " * ", ((node.left, _T_INTER), (node.right, _T_INTER + 1))
+    if isinstance(node, Not):
+        return _P_NOT, "!", ((node.operand, _P_NOT),)
+    if isinstance(node, Or) and isinstance(node.left, Not):
+        return _P_IMPLIES, " -> ", ((node.left.operand, _P_IMPLIES + 1), (node.right, _P_IMPLIES))
+    if isinstance(node, Or):
+        return _P_OR, " | ", ((node.left, _P_OR), (node.right, _P_OR + 1))
+    return _P_AND, " & ", ((node.left, _P_AND), (node.right, _P_AND + 1))
 
 
-def _wrap(body: str, prec: int, min_prec: int) -> str:
+def _fmt(node: Formula | Term, min_prec: int) -> str:
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Empty):
+        return "empty"
+    if isinstance(node, Atom):
+        return f"I({_fmt(node.t1, 0)}, {_fmt(node.t2, 0)}, {_fmt(node.t3, 0)})"
+    prec, op, children = _layout(node)
+    if len(children) == 1:
+        body = op + _fmt(*children[0])
+    else:
+        left, right = children
+        body = _fmt(*left) + op + _fmt(*right)
     return f"({body})" if prec < min_prec else body
+
+
+def _check_depth(node: Formula | Term, *, printed: bool = False) -> None:
+    """Raise ``ValueError`` when a formula or term nests deeper than
+    ``MAX_FORMULA_DEPTH``.
+
+    The parser's rule: count the operators on the longest path down to a
+    variable or ``empty``; the brackets of ``I(...)`` do not count, and the
+    arrow, stored as ``Or(Not(a), b)``, counts once. Every parsed formula
+    passes, so the evaluators use this rule. With ``printed``, each pair of
+    parentheses the printer adds counts once more, as the parser counts it,
+    so text the printer writes always parses. A parsed formula can still
+    fail this stricter rule at the edge: text ``!a | b | c`` prints as
+    ``(a -> b) | c``, one level deeper on ``b``'s path. Iterative, so any
+    depth is checked before any recursive walk.
+    """
+    stack = [(node, 0, 0)]
+    while stack:
+        node, depth, min_prec = stack.pop()
+        if isinstance(node, (Var, Empty)):
+            continue
+        if isinstance(node, Atom):
+            stack += ((node.t1, depth, 0), (node.t2, depth, 0), (node.t3, depth, 0))
+            continue
+        prec, _, children = _layout(node)
+        depth += 1 + (printed and prec < min_prec)
+        if depth > MAX_FORMULA_DEPTH:
+            kind = "formula" if isinstance(node, (Not, And, Or)) else "term"
+            raise ValueError(f"{kind} nested deeper than {MAX_FORMULA_DEPTH} levels")
+        for child, child_prec in children:
+            stack.append((child, depth, child_prec))
 
 
 # Structure queries
@@ -422,7 +464,15 @@ class Valuation:
 
 
 def eval_term(term: Term, valuation: Valuation) -> int:
-    """Value of a term under a valuation; complement is relative to the universe."""
+    """Value of a term under a valuation; complement is relative to the universe.
+
+    Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
+    """
+    _check_depth(term)
+    return _eval_term(term, valuation)
+
+
+def _eval_term(term: Term, valuation: Valuation) -> int:
     if isinstance(term, Var):
         try:
             return valuation.assignment[term.name]
@@ -431,17 +481,17 @@ def eval_term(term: Term, valuation: Valuation) -> int:
     if isinstance(term, Empty):
         return 0
     if isinstance(term, Complement):
-        return valuation.universe.full_mask & ~eval_term(term.operand, valuation)
+        return valuation.universe.full_mask & ~_eval_term(term.operand, valuation)
     if isinstance(term, Union_):
-        return eval_term(term.left, valuation) | eval_term(term.right, valuation)
-    return eval_term(term.left, valuation) & eval_term(term.right, valuation)
+        return _eval_term(term.left, valuation) | _eval_term(term.right, valuation)
+    return _eval_term(term.left, valuation) & _eval_term(term.right, valuation)
 
 
 def _atom_sets(atom: Atom, valuation: Valuation) -> tuple[int, int, int]:
     return (
-        eval_term(atom.t1, valuation),
-        eval_term(atom.t2, valuation),
-        eval_term(atom.t3, valuation),
+        _eval_term(atom.t1, valuation),
+        _eval_term(atom.t2, valuation),
+        _eval_term(atom.t3, valuation),
     )
 
 
@@ -478,8 +528,10 @@ def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) 
     """Truth of the formula under one valid valuation.
 
     An atom holds when its evaluated triple is in the model; connectives are
-    classical. Calling this with an invalid valuation is an error.
+    classical. Calling this with an invalid valuation is an error, and so is
+    nesting past ``MAX_FORMULA_DEPTH`` (``ValueError``).
     """
+    _check_depth(formula)
     if not is_valid_valuation(valuation, formula, model):
         raise ValueError("valuation is not valid for the formula")
     atoms = atoms_of(formula)
@@ -562,7 +614,9 @@ def model_satisfies(
     Raises ``ValuationBudgetError`` instead of silently truncating when the
     enumeration would be too large: the cost counts every valuation, valid or
     not, times the atoms, although only the valid ones are enumerated.
+    Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
+    _check_depth(formula)
     names = formula_variables(formula)
     atoms = atoms_of(formula)
     _check_budget(model.universe, len(names), len(atoms), budget)
@@ -573,7 +627,7 @@ def model_satisfies(
     for i in range(n):
         place = (0, 1 << i, 1 << n + i, 1 << 2 * n + i)
         columns.append([tuple(place[d] for d in pattern) for pattern in digits])
-    in_model = frozenset(t.a | t.c << n | t.b << 2 * n for t in model.triples).__contains__
+    in_model = packed_keys(model).__contains__
     truth = _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})
     for valuation in product(*columns):
         if not truth(tuple(map(in_model, map(sum, zip(*valuation))))):

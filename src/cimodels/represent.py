@@ -7,7 +7,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import IndependencyModel, Triple, enumerate_disjoint_triples, separated_triples, submasks
+from .core import (
+    IndependencyModel,
+    Triple,
+    enumerate_disjoint_triples,
+    packed_keys,
+    separated_triples,
+    submasks,
+)
 from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
 
@@ -162,32 +169,40 @@ def check_semigraphoid(model: IndependencyModel) -> list[AxiomViolation]:
 
     Instances are generated from the model's own triples (an instance whose
     premises are absent can never be violated), in a deterministic order.
+    Conclusions are looked up by packed key (``core.packed_keys``), built
+    once per call; a ``Triple`` is built only for a conclusion reported
+    missing.
     """
-    triples = model.triples
-    ordered = sorted(triples, key=lambda t: (t.a, t.c, t.b))
+    n = model.universe.n
+    keys = packed_keys(model)
+    ordered = sorted(model.triples, key=lambda t: (t.a, t.c, t.b))
     violations: list[AxiomViolation] = []
 
     for t in ordered:
-        if t.reverse() not in triples:
+        if t.b | t.c << n | t.a << 2 * n not in keys:
             violations.append(AxiomViolation("symmetry", (t,), t.reverse()))
 
     for t in ordered:
+        a, c, b = t.a, t.c, t.b
+        first_two = a | c << n
         # Split the second set into a kept part and a dropped part.
-        for sub in submasks(t.b):
-            kept = Triple(t.a, t.c, sub)
-            if kept not in triples:
-                violations.append(AxiomViolation("decomposition", (t,), kept))
-            moved = Triple(t.a, t.c | (t.b & ~sub), sub)
-            if moved not in triples:
-                violations.append(AxiomViolation("weak_union", (t,), moved))
+        for sub in submasks(b):
+            last = sub << 2 * n
+            if first_two | last not in keys:
+                violations.append(AxiomViolation("decomposition", (t,), Triple(a, c, sub)))
+            moved = c | (b & ~sub)
+            if a | moved << n | last not in keys:
+                violations.append(AxiomViolation("weak_union", (t,), Triple(a, moved, sub)))
 
-    by_first_two: dict[tuple[int, int], list[Triple]] = {}
+    by_first_two: dict[int, list[Triple]] = {}
     for t in ordered:
-        by_first_two.setdefault((t.a, t.c), []).append(t)
+        by_first_two.setdefault(t.a | t.c << n, []).append(t)
     for t in ordered:
         # t supplies the second premise (a, c, b); look for (a, c|b, d).
-        for other in by_first_two.get((t.a, t.c | t.b), ()):
-            merged = Triple(t.a, t.c, t.b | other.b)
-            if merged not in triples:
-                violations.append(AxiomViolation("contraction", (other, t), merged))
+        for other in by_first_two.get(t.a | (t.c | t.b) << n, ()):
+            merged = t.b | other.b
+            if t.a | t.c << n | merged << 2 * n not in keys:
+                violations.append(
+                    AxiomViolation("contraction", (other, t), Triple(t.a, t.c, merged))
+                )
     return violations

@@ -27,6 +27,7 @@ from cimodels.logic import (
     Union_,
     Var,
 )
+from cimodels.represent import AxiomViolation
 
 
 def dag_count(n: int) -> int:
@@ -185,6 +186,47 @@ def semigraphoid_violations_by_placements(model) -> set[tuple[str, Triple]]:
             if Triple(a, c, b | d) not in triples:
                 found.add(("contraction", Triple(a, c, b | d)))
     return found
+
+
+def check_semigraphoid_reference(model) -> list[AxiomViolation]:
+    """The Triple-based semi-graphoid check, in the library's exact order.
+
+    Every conclusion is built as a ``Triple`` and looked up in the model's
+    triple set; the split of the second set walks its subsets from the whole
+    set down to the empty one. The library tests packed ints instead, and
+    must return the identical list: same axioms, premises, conclusions and
+    order.
+    """
+    triples = model.triples
+    ordered = sorted(triples, key=lambda t: (t.a, t.c, t.b))
+    violations: list[AxiomViolation] = []
+
+    for t in ordered:
+        if t.reverse() not in triples:
+            violations.append(AxiomViolation("symmetry", (t,), t.reverse()))
+
+    for t in ordered:
+        sub = t.b
+        while True:
+            kept = Triple(t.a, t.c, sub)
+            if kept not in triples:
+                violations.append(AxiomViolation("decomposition", (t,), kept))
+            moved = Triple(t.a, t.c | (t.b & ~sub), sub)
+            if moved not in triples:
+                violations.append(AxiomViolation("weak_union", (t,), moved))
+            if not sub:
+                break
+            sub = (sub - 1) & t.b
+
+    by_first_two: dict[tuple[int, int], list[Triple]] = {}
+    for t in ordered:
+        by_first_two.setdefault((t.a, t.c), []).append(t)
+    for t in ordered:
+        for other in by_first_two.get((t.a, t.c | t.b), ()):
+            merged = Triple(t.a, t.c, t.b | other.b)
+            if merged not in triples:
+                violations.append(AxiomViolation("contraction", (other, t), merged))
+    return violations
 
 
 def acyclic_arc_masks_bruteforce(n: int) -> list[int]:

@@ -299,6 +299,12 @@ class TestLibraryGates:
         message = library_error(Universe, ())
         self.expect(capsys, ["enum", "dags", "--n", "0"], message)
 
+    @pytest.mark.parametrize("n", ["-1", "-7"])
+    @pytest.mark.parametrize("count", [["--count"], []])
+    def test_enum_dags_negative_nodes(self, capsys, n, count):
+        message = f"error: --n cannot be negative, got {n}\n"
+        self.expect(capsys, ["enum", "dags", "--n", n, *count], message)
+
     @pytest.mark.parametrize("count", [["--count"], []])
     def test_enum_dags_past_the_gate(self, capsys, count):
         from cimodels.dag import MAX_DAG_ENUM_NODES, acyclic_arc_masks

@@ -1,5 +1,7 @@
 """Text format round-trips and diagnostics."""
 
+import random
+
 import pytest
 
 from cimodels.core import IndependencyModel, Triple, Universe
@@ -18,6 +20,8 @@ from cimodels.formats import (
     parse_triple,
 )
 from cimodels.ugraph import UndirectedGraph
+
+from oracles import random_model, universe_of_size
 
 MODEL_TEXT = """\
 vars: 1 2 3 4
@@ -114,6 +118,68 @@ class TestModelFormat:
         m = IndependencyModel(u, frozenset())
         with pytest.raises(FormatError):
             format_model(m)
+
+
+# Lines 2-4 parse every set text the malformed lines below reuse, so a
+# per-call memo of set texts has seen them all before the bad line.
+SEEDED = """\
+vars: a b c
+I a | - | b
+I b | c | a
+I a | c | b
+
+# a comment, then a blank line above
+"""
+
+
+class TestModelCodecErrors:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("I a | - | b | c", "expected '<set> | <set> | <set>', found ' a | - | b | c'"),
+            ("I a | -", "expected '<set> | <set> | <set>', found ' a | -'"),
+            ("I a | a | b", "triple sets must be pairwise disjoint: 0x1, 0x1, 0x2"),
+            ("I b | a | b", "triple sets must be pairwise disjoint: 0x2, 0x1, 0x2"),
+            ("I a | - | z", "unknown label 'z'"),
+            ("I a,z | - | b", "unknown label 'z'"),
+            ("I\ta | - | b", "expected 'I <set> | <set> | <set>', found 'I\\ta | - | b'"),
+            ("I", "expected '<set> | <set> | <set>', found ''"),
+            ("Ia | - | b", "expected 'I <set> | <set> | <set>', found 'Ia | - | b'"),
+            ("I a | - | b", "duplicate triple 'I a | - | b'"),
+            ("I  a|-|b", "duplicate triple 'I a | - | b'"),
+            ("I a | c | b", "duplicate triple 'I a | c | b'"),
+        ],
+    )
+    def test_error_after_seen_sets(self, line, message):
+        with pytest.raises(FormatError) as err:
+            parse_model(SEEDED + line + "\n", source="m.txt")
+        assert str(err.value) == f"m.txt:7: {message}"
+        assert (err.value.source, err.value.line) == ("m.txt", 7)
+
+    def test_seen_sets_in_new_triples_and_spacing(self):
+        text = SEEDED + "I b | - | a\nI  a|c|b\t\n  I c | a,b | -\n# end\n"
+        with pytest.raises(FormatError, match="^m.txt:8: duplicate triple 'I a | c | b'$"):
+            parse_model(text, source="m.txt")
+        m = parse_model(SEEDED + "I b | - | a\nI c | a,b | -\n")
+        assert m.triples == {
+            Triple(0b001, 0, 0b010),
+            Triple(0b010, 0b100, 0b001),
+            Triple(0b001, 0b100, 0b010),
+            Triple(0b010, 0, 0b001),
+            Triple(0b100, 0b011, 0),
+        }
+
+    def test_seeded_round_trip(self):
+        rng = random.Random(53)
+        universes = [universe_of_size(n) for n in range(1, 6)]
+        universes.append(Universe(("x1", "y22", "z", "w_4", "v")))
+        for u in universes:
+            for _ in range(8):
+                m = random_model(rng, u, p=rng.uniform(0.02, 0.6), symmetric=rng.random() < 0.5)
+                text = format_model(m)
+                again = parse_model(text)
+                assert again == m
+                assert format_model(again) == text
 
 
 class TestGraphFormat:

@@ -35,6 +35,7 @@ from cimodels.logic import (
     format_formula,
     format_term,
     formula_of_clause,
+    formula_variables,
     implies,
     is_horn,
     is_valid_valuation,
@@ -43,6 +44,7 @@ from cimodels.logic import (
     parse_formula,
     satisfies,
 )
+from cimodels.logic import _check_depth, _fmt
 
 from oracles import (
     check_clause_bruteforce,
@@ -160,6 +162,156 @@ class TestDepthGate:
         parse_formula(" & ".join([deep_atom] * (half + 1)))
         with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
             parse_formula(" & ".join([deep_atom] * (half + 2)))
+
+
+def negations(k):
+    f = parse_formula(ATOM)
+    for _ in range(k):
+        f = Not(f)
+    return f
+
+
+def complements(k):
+    t = Var("X1")
+    for _ in range(k):
+        t = Complement(t)
+    return t
+
+
+def arrows(k):
+    atom = parse_formula(ATOM)
+    f = atom
+    for _ in range(k):
+        f = implies(atom, f)
+    return f
+
+
+def right_ors(k):
+    """``k`` right-nested ``Or`` nodes over a negated atom: each inner ``Or``
+    prints in parentheses, so the text nests ``2k`` levels deep."""
+    atom = parse_formula(ATOM)
+    f = Not(atom)
+    for _ in range(k):
+        f = Or(atom, f)
+    return f
+
+
+def depth_gated_calls(formula, term):
+    """Every public entry point that recurses over a formula or term built in code."""
+    m = singleton_model()
+    valuation = Valuation(m.universe, {"X1": 0b001, "X2": 0b010, "X3": 0b100})
+    atom = Atom(term, Var("X2"), Var("X3"))
+    return {
+        "model_satisfies": lambda: model_satisfies(m, formula),
+        "model_satisfies term": lambda: model_satisfies(m, atom),
+        "model_satisfies term second": lambda: model_satisfies(m, Atom(Var("X2"), term, Var("X3"))),
+        "model_satisfies term third": lambda: model_satisfies(m, Atom(Var("X2"), Var("X3"), term)),
+        "check_clause": lambda: check_clause(m, Clause((), (atom,))),
+        "format_formula": lambda: format_formula(formula),
+        "format_formula term": lambda: format_formula(atom),
+        "format_term": lambda: format_term(term),
+        "satisfies": lambda: satisfies(valuation, formula, m),
+        "satisfies term": lambda: satisfies(valuation, atom, m),
+        "eval_term": lambda: eval_term(term, valuation),
+    }
+
+
+def random_chain(rng, steps):
+    """A formula grown by wrapping a random atom ``steps`` times in a random
+    connective, with shallow random terms, so printed depths land near the gate."""
+    f = random_atom(rng, ["X1", "X2", "X3"], 2)
+    for _ in range(steps):
+        other = random_atom(rng, ["X1", "X2", "X3"], 1)
+        f = rng.choice([
+            lambda: Not(f),
+            lambda: And(f, other),
+            lambda: And(other, f),
+            lambda: Or(f, other),
+            lambda: Or(other, f),
+            lambda: implies(f, other),
+            lambda: implies(other, f),
+        ])()
+    return f
+
+
+class TestDepthGateInCode:
+    """Formulas and terms built in code meet the parser's depth rule."""
+
+    @pytest.mark.parametrize("call", sorted(depth_gated_calls(None, None)))
+    def test_far_past_the_gate(self, call):
+        run = depth_gated_calls(negations(3000), complements(3000))[call]
+        with pytest.raises(ValueError, match=f"nested deeper than {MAX_FORMULA_DEPTH} levels"):
+            run()
+
+    @pytest.mark.parametrize("call", sorted(depth_gated_calls(None, None)))
+    def test_one_past_the_gate(self, call):
+        past = MAX_FORMULA_DEPTH + 1
+        run = depth_gated_calls(negations(past), complements(past))[call]
+        with pytest.raises(ValueError, match="nested deeper than"):
+            run()
+
+    @pytest.mark.parametrize("build", [negations, arrows])
+    def test_at_the_gate(self, build):
+        f = build(MAX_FORMULA_DEPTH)
+        atom = Atom(complements(MAX_FORMULA_DEPTH), Var("X2"), Var("X3"))
+        for results in depth_gated_calls(f, atom.t1).values():
+            results()
+        m = singleton_model()
+        assert model_satisfies(m, f) == model_satisfies_bruteforce(m, f)
+        assert model_satisfies(m, atom) == model_satisfies_bruteforce(m, atom)
+        # The parser accepts the same formulas at the gate.
+        assert parse_formula(format_formula(f)) == f
+        assert parse_formula(format_formula(atom)) == atom
+        assert eval_term(atom.t1, Valuation(m.universe, {"X1": 0b001})) == 0b001
+
+    def test_printer_counts_its_parentheses(self):
+        at_gate = right_ors(MAX_FORMULA_DEPTH // 2)
+        assert parse_formula(format_formula(at_gate)) == at_gate
+        past = right_ors(MAX_FORMULA_DEPTH // 2 + 1)
+        with pytest.raises(ValueError, match=f"formula nested deeper than {MAX_FORMULA_DEPTH}"):
+            format_formula(past)
+        # 52 operators deep: the evaluators still take it.
+        m = singleton_model()
+        assert model_satisfies(m, past) == model_satisfies_bruteforce(m, past)
+
+    def test_printed_text_parses_iff_the_printer_gate_passes(self):
+        rng = random.Random(59)
+        outcomes = set()
+        for _ in range(300):
+            f = random_chain(rng, rng.randrange(45, 110))
+            try:
+                text = format_formula(f)
+            except ValueError:
+                text = None
+            try:
+                parsed = parse_formula(_fmt(f, 0))
+            except FormulaSyntaxError:
+                parsed = None
+            assert (text is None) == (parsed is None)
+            if parsed is not None:
+                assert parsed == f
+                # Every parsed formula passes the evaluators' gate.
+                _check_depth(parsed)
+            outcomes.add(text is None)
+        assert outcomes == {True, False}
+
+    def test_parsed_text_deeper_once_printed(self):
+        # '!a | b | c' prints as '(a -> b) | c': one level deeper on b's path.
+        deep_b = "!" * (MAX_FORMULA_DEPTH - 2) + ATOM
+        f = parse_formula(f"!{ATOM} | {deep_b} | {ATOM}")
+        m = singleton_model()
+        assert model_satisfies(m, f) == model_satisfies_bruteforce(m, f)
+        with pytest.raises(ValueError, match="nested deeper than"):
+            format_formula(f)
+
+    def test_ungated_calls_take_deep_negations(self):
+        m = singleton_model()
+        valuation = Valuation(m.universe, {"X1": 0b001, "X2": 0b010, "X3": 0b100})
+        deep = negations(3000)
+        assert atoms_of(deep) == (parse_formula(ATOM),)
+        assert formula_variables(deep) == ("X1", "X2", "X3")
+        assert is_valid_valuation(valuation, deep, m)
+        assert clause_of_formula(deep) is None
 
 
 class TestPrinter:

@@ -22,6 +22,7 @@ from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import (
     acyclic_arc_masks_bruteforce,
+    check_semigraphoid_reference,
     dag_count,
     random_model,
     semigraphoid_violations_by_placements,
@@ -266,6 +267,29 @@ class TestCheckSemigraphoid:
                 m = random_model(rng, u, p=rng.uniform(0.2, 0.6))
                 got = {(v.axiom, v.conclusion) for v in check_semigraphoid(m)}
                 assert got == semigraphoid_violations_by_placements(m)
+
+    def test_exact_list_matches_reference(self):
+        # Axiom, premises, conclusion and order, against the Triple-based loop.
+        rng = random.Random(41)
+        models = []
+        for n in (1, 2, 3, 4):
+            u = universe_of_size(n)
+            models.append(IndependencyModel(u, frozenset()))
+            for symmetric in (False, True):
+                models += [
+                    random_model(rng, u, p=rng.uniform(0.1, 0.7), symmetric=symmetric)
+                    for _ in range(12)
+                ]
+        for n in (1, 2, 3):
+            u = universe_of_size(n)
+            models += [d.dsep_model() for d in enumerate_dags(u)]
+            models += [g.separation_model() for g in enumerate_undirected_graphs(u)]
+        violated = 0
+        for m in models:
+            expected = check_semigraphoid_reference(m)
+            assert check_semigraphoid(m) == expected
+            violated += bool(expected)
+        assert violated >= 80
 
     def test_heredity_of_cleanliness(self):
         u = universe_of_size(3)
