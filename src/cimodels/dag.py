@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 from typing import Iterator
 
 from .core import IndependencyModel, Triple, Universe, bits_of, separated_triples
-from .ugraph import UndirectedGraph
+from .ugraph import UndirectedGraph, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
 
@@ -71,27 +71,15 @@ class Dag:
 
     def descendants(self, w: int) -> int:
         """Strict descendants of ``w``: nodes reachable along arcs, excluding ``w``."""
-        return self._closure(1 << w, self.child_masks) & ~(1 << w)
+        return reachable_mask(self.child_masks, 1 << w, 0) & ~(1 << w)
 
     def ancestors(self, w: int) -> int:
         """Strict ancestors of ``w``: nodes that reach ``w`` along arcs, excluding ``w``."""
-        return self._closure(1 << w, self.parent_masks) & ~(1 << w)
-
-    @staticmethod
-    def _closure(mask: int, step_masks: tuple[int, ...]) -> int:
-        seen = mask
-        frontier = mask
-        while frontier:
-            nxt = 0
-            for i in bits_of(frontier):
-                nxt |= step_masks[i]
-            frontier = nxt & ~seen
-            seen |= frontier
-        return seen
+        return reachable_mask(self.parent_masks, 1 << w, 0) & ~(1 << w)
 
     def ancestral_closure(self, mask: int) -> int:
         """``mask`` together with all ancestors of its members."""
-        return self._closure(mask, self.parent_masks)
+        return reachable_mask(self.parent_masks, mask, 0)
 
     def d_separates(self, a: int, c: int, b: int) -> bool:
         """Decide whether ``c`` d-separates ``a`` from ``b``.
@@ -117,7 +105,7 @@ class Dag:
         children = self.child_masks
         # Nodes that are in c or have a descendant in c: exactly the states
         # where a converging connection stays open.
-        opened = self._closure(c, parents)
+        opened = reachable_mask(parents, c, 0)
         out_seen = a  # entered by an arc leaving the node (or trail start)
         in_seen = 0  # entered by an arc pointing at the node
         frontier_out, frontier_in = a, 0

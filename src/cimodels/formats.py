@@ -97,14 +97,10 @@ def parse_set(universe: Universe, text: str, *, source: str | None = None, line:
     text = text.strip()
     if text in ("", "-"):
         return 0
-    mask = 0
-    for label in text.split(","):
-        label = label.strip()
-        try:
-            mask |= 1 << universe.index(label)
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=line) from None
-    return mask
+    try:
+        return universe.mask_of(label.strip() for label in text.split(","))
+    except ValueError as exc:
+        raise FormatError(str(exc), source=source, line=line) from None
 
 
 def format_set(universe: Universe, mask: int) -> str:
@@ -195,10 +191,17 @@ def format_model(model: IndependencyModel) -> str:
 
 def _parse_pair_lines(
     text: str, separator: str, *, source: str | None
-) -> tuple[Universe, list[tuple[int, int]]]:
+) -> tuple[Universe, set[tuple[int, int]]]:
+    """The universe and the pairs of a graph (``--``, unordered pairs) or DAG
+    (``->``, ordered pairs) file.
+
+    The first repeated pair is an error at its line, raised once every line
+    has parsed, so a malformed line anywhere in the file is reported first.
+    """
     lines = _content_lines(text)
     universe = _parse_header(lines, source=source)
-    pairs: list[tuple[int, int]] = []
+    pairs: set[tuple[int, int]] = set()
+    duplicate = None
     for lineno, content in lines:
         parts = content.split(separator)
         if len(parts) != 2:
@@ -214,40 +217,38 @@ def _parse_pair_lines(
             raise FormatError(str(exc), source=source, line=lineno) from None
         if u == v:
             raise FormatError(f"self-loop at {parts[0].strip()!r}", source=source, line=lineno)
-        pairs.append((u, v))
+        pair = (v, u) if separator == "--" and v < u else (u, v)
+        if pair in pairs and duplicate is None:
+            kind = "edge" if separator == "--" else "arc"
+            duplicate = FormatError(
+                f"duplicate {kind} {universe.names[u]} {separator} {universe.names[v]}",
+                source=source,
+                line=lineno,
+            )
+        pairs.add(pair)
+    if duplicate is not None:
+        raise duplicate
     return universe, pairs
 
 
+def _format_pairs(universe: Universe, pairs: frozenset[tuple[int, int]], separator: str) -> str:
+    lines = [_vars_line(universe)]
+    for i, j in sorted(pairs):
+        lines.append(f"{universe.names[i]} {separator} {universe.names[j]}")
+    return "\n".join(lines) + "\n"
+
+
 def parse_graph(text: str, *, source: str | None = None) -> UndirectedGraph:
-    universe, pairs = _parse_pair_lines(text, "--", source=source)
-    edges: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        edge = (u, v) if u < v else (v, u)
-        if edge in edges:
-            raise FormatError(
-                f"duplicate edge {universe.names[u]} -- {universe.names[v]}", source=source
-            )
-        edges.add(edge)
+    universe, edges = _parse_pair_lines(text, "--", source=source)
     return UndirectedGraph(universe, frozenset(edges))
 
 
 def format_graph(graph: UndirectedGraph) -> str:
-    u = graph.universe
-    lines = [_vars_line(u)]
-    for i, j in sorted(graph.edges):
-        lines.append(f"{u.names[i]} -- {u.names[j]}")
-    return "\n".join(lines) + "\n"
+    return _format_pairs(graph.universe, graph.edges, "--")
 
 
 def parse_dag(text: str, *, source: str | None = None) -> Dag:
-    universe, pairs = _parse_pair_lines(text, "->", source=source)
-    arcs: set[tuple[int, int]] = set()
-    for u, v in pairs:
-        if (u, v) in arcs:
-            raise FormatError(
-                f"duplicate arc {universe.names[u]} -> {universe.names[v]}", source=source
-            )
-        arcs.add((u, v))
+    universe, arcs = _parse_pair_lines(text, "->", source=source)
     try:
         return Dag(universe, frozenset(arcs))
     except ValueError as exc:
@@ -255,11 +256,7 @@ def parse_dag(text: str, *, source: str | None = None) -> Dag:
 
 
 def format_dag(dag: Dag) -> str:
-    u = dag.universe
-    lines = [_vars_line(u)]
-    for i, j in sorted(dag.arcs):
-        lines.append(f"{u.names[i]} -> {u.names[j]}")
-    return "\n".join(lines) + "\n"
+    return _format_pairs(dag.universe, dag.arcs, "->")
 
 
 def load_model(path: str | Path) -> IndependencyModel:

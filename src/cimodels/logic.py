@@ -21,13 +21,14 @@ valuation is valid when each atom's three term values are pairwise disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from operator import itemgetter
 from typing import Callable, Literal, Mapping, Sequence
 
 from .core import IndependencyModel, Triple, Universe, bits_of, packed_keys
-from .dag import enumerate_dags
-from .ugraph import enumerate_undirected_graphs
+from .dag import Dag, enumerate_dags
+from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
 DEFAULT_VALUATION_BUDGET = 1 << 24
 
@@ -412,7 +413,11 @@ def _check_depth(node: Formula | Term, *, printed: bool = False) -> None:
 
 
 def atoms_of(formula: Formula) -> tuple[Atom, ...]:
-    """Distinct atoms in first-occurrence order."""
+    """Distinct atoms in first-occurrence order.
+
+    Raises ``ValueError`` when an atom's term nests deeper than
+    ``MAX_FORMULA_DEPTH``, before hashing the atom recurses down the term.
+    """
     # An explicit stack: a recursive inner function would be a reference
     # cycle, keeping each formula alive until the cycle collector runs.
     seen: dict[Atom, None] = {}
@@ -420,6 +425,7 @@ def atoms_of(formula: Formula) -> tuple[Atom, ...]:
     while stack:
         f = stack.pop()
         if isinstance(f, Atom):
+            _check_depth(f)
             seen.setdefault(f, None)
         elif isinstance(f, Not):
             stack.append(f.operand)
@@ -440,8 +446,12 @@ def term_variables(term: Term) -> set[str]:
 
 def formula_variables(formula: Formula) -> tuple[str, ...]:
     """Sorted names of the variables occurring in the formula."""
+    return _variables(atoms_of(formula))
+
+
+def _variables(atoms: Sequence[Atom]) -> tuple[str, ...]:
     names: set[str] = set()
-    for atom in atoms_of(formula):
+    for atom in atoms:
         for t in (atom.t1, atom.t2, atom.t3):
             names |= term_variables(t)
     return tuple(sorted(names))
@@ -469,30 +479,28 @@ def eval_term(term: Term, valuation: Valuation) -> int:
     Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
     _check_depth(term)
-    return _eval_term(term, valuation)
+    return _value(term, valuation.assignment, valuation.universe.full_mask)
 
 
-def _eval_term(term: Term, valuation: Valuation) -> int:
+def _value(term: Term, values: Mapping[str, int], full: int) -> int:
+    """Value of a term whose variables take ``values``, all subsets of ``full``."""
     if isinstance(term, Var):
         try:
-            return valuation.assignment[term.name]
+            return values[term.name]
         except KeyError:
             raise ValueError(f"unbound variable {term.name!r}") from None
     if isinstance(term, Empty):
         return 0
     if isinstance(term, Complement):
-        return valuation.universe.full_mask & ~_eval_term(term.operand, valuation)
-    if isinstance(term, Union_):
-        return _eval_term(term.left, valuation) | _eval_term(term.right, valuation)
-    return _eval_term(term.left, valuation) & _eval_term(term.right, valuation)
+        return full & ~_value(term.operand, values, full)
+    left = _value(term.left, values, full)
+    right = _value(term.right, values, full)
+    return left | right if isinstance(term, Union_) else left & right
 
 
 def _atom_sets(atom: Atom, valuation: Valuation) -> tuple[int, int, int]:
-    return (
-        _eval_term(atom.t1, valuation),
-        _eval_term(atom.t2, valuation),
-        _eval_term(atom.t3, valuation),
-    )
+    values, full = valuation.assignment, valuation.universe.full_mask
+    return tuple(_value(t, values, full) for t in (atom.t1, atom.t2, atom.t3))
 
 
 def _disjoint(s1: int, s2: int, s3: int) -> bool:
@@ -559,33 +567,17 @@ def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: i
 # is the sum of what the element patterns contribute, one bit per element.
 
 
-def _pattern_set(term: Term, index: Mapping[str, int], var_sets: list[int]) -> int:
-    """The patterns under which ``term`` contains the element, as the bits of
-    an int; ``var_sets[j]`` is that set for variable ``j`` and ``var_sets[-1]``
-    holds every pattern."""
-    if isinstance(term, Var):
-        return var_sets[index[term.name]]
-    if isinstance(term, Empty):
-        return 0
-    if isinstance(term, Complement):
-        return var_sets[-1] ^ _pattern_set(term.operand, index, var_sets)
-    left = _pattern_set(term.left, index, var_sets)
-    right = _pattern_set(term.right, index, var_sets)
-    return left | right if isinstance(term, Union_) else left & right
-
-
 def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tuple[int, ...]]:
     """Each allowed pattern's per-atom digits; patterns with equal digits are
-    interchangeable, so each digit tuple is listed once."""
+    interchangeable, so each digit tuple is listed once. A term's value here
+    is the set of patterns under which it contains the element, as an int."""
     patterns = 1 << len(names)
-    var_sets = [
-        sum(1 << p for p in range(patterns) if p >> j & 1) for j in range(len(names))
-    ]
-    var_sets.append((1 << patterns) - 1)
-    index = {name: j for j, name in enumerate(names)}
+    full = (1 << patterns) - 1
+    var_sets = {
+        name: sum(1 << p for p in range(patterns) if p >> j & 1) for j, name in enumerate(names)
+    }
     term_sets = [
-        [_pattern_set(t, index, var_sets) for t in (atom.t1, atom.t2, atom.t3)]
-        for atom in atoms
+        [_value(t, var_sets, full) for t in (atom.t1, atom.t2, atom.t3)] for atom in atoms
     ]
     clash = 0
     for s1, s2, s3 in term_sets:
@@ -596,7 +588,7 @@ def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tup
                 (s1 >> p & 1) + 2 * (s2 >> p & 1) + 3 * (s3 >> p & 1)
                 for s1, s2, s3 in term_sets
             )
-            for p in bits_of(var_sets[-1] & ~clash)
+            for p in bits_of(full & ~clash)
         )
     )
 
@@ -617,8 +609,8 @@ def model_satisfies(
     Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
     _check_depth(formula)
-    names = formula_variables(formula)
     atoms = atoms_of(formula)
+    names = _variables(atoms)
     _check_budget(model.universe, len(names), len(atoms), budget)
     n = model.universe.n
     digits = _allowed_digits(atoms, names)
@@ -650,16 +642,18 @@ def check_clause(
 # Clause <-> formula translation
 
 
-def _or_leaves(formula: Formula) -> list[Formula]:
-    if isinstance(formula, Or):
-        return _or_leaves(formula.left) + _or_leaves(formula.right)
-    return [formula]
-
-
-def _and_leaves(formula: Formula) -> list[Formula]:
-    if isinstance(formula, And):
-        return _and_leaves(formula.left) + _and_leaves(formula.right)
-    return [formula]
+def _leaves(formula: Formula, kind: type) -> list[Formula]:
+    """The operands of the ``kind`` chain at the top of ``formula``, left to
+    right; an explicit stack, so any depth is read."""
+    leaves: list[Formula] = []
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, kind):
+            stack += (f.right, f.left)
+        else:
+            leaves.append(f)
+    return leaves
 
 
 def clause_of_formula(formula: Formula) -> Clause | None:
@@ -670,11 +664,11 @@ def clause_of_formula(formula: Formula) -> Clause | None:
     """
     negatives: list[Atom] = []
     positives: list[Atom] = []
-    for leaf in _or_leaves(formula):
+    for leaf in _leaves(formula, Or):
         if isinstance(leaf, Atom):
             positives.append(leaf)
         elif isinstance(leaf, Not):
-            inner = _and_leaves(leaf.operand)
+            inner = _leaves(leaf.operand, And)
             if not all(isinstance(x, Atom) for x in inner):
                 return None
             negatives.extend(inner)  # type: ignore[arg-type]
@@ -683,29 +677,13 @@ def clause_of_formula(formula: Formula) -> Clause | None:
     return Clause(tuple(negatives), tuple(positives))
 
 
-def _fold_and(formulas: list[Formula]) -> Formula:
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = And(out, f)
-    return out
-
-
-def _fold_or(formulas: list[Formula]) -> Formula:
-    out = formulas[0]
-    for f in formulas[1:]:
-        out = Or(out, f)
-    return out
-
-
 def formula_of_clause(clause: Clause) -> Formula:
     """The rule form of a clause; pure clauses fall back to literal disjunctions."""
     if clause.negatives and clause.positives:
-        return implies(
-            _fold_and(list(clause.negatives)), _fold_or(list(clause.positives))
-        )
+        return implies(reduce(And, clause.negatives), reduce(Or, clause.positives))
     if clause.positives:
-        return _fold_or(list(clause.positives))
-    return _fold_or([Not(a) for a in clause.negatives])
+        return reduce(Or, clause.positives)
+    return reduce(Or, [Not(a) for a in clause.negatives])
 
 
 # Entailment over enumerated model families
@@ -735,15 +713,12 @@ def entails(
     if universe.n > gate:
         raise ValueError(f"family {family!r} entailment is gated at {gate} variables")
     if family == "causal":
-        for dag in enumerate_dags(universe):
-            if all(dag.d_separates(t.a, t.c, t.b) for t in given) and not dag.d_separates(
-                query.a, query.c, query.b
-            ):
-                return False
-        return True
-    for graph in enumerate_undirected_graphs(universe):
-        if all(graph.separates(t.a, t.c, t.b) for t in given) and not graph.separates(
-            query.a, query.c, query.b
+        members, holds = enumerate_dags(universe), Dag.d_separates
+    else:
+        members, holds = enumerate_undirected_graphs(universe), UndirectedGraph.separates
+    for member in members:
+        if all(holds(member, t.a, t.c, t.b) for t in given) and not holds(
+            member, query.a, query.c, query.b
         ):
             return False
     return True

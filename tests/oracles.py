@@ -13,6 +13,7 @@ from itertools import product
 from math import comb
 
 from cimodels.core import IndependencyModel, Triple, Universe, enumerate_disjoint_triples
+from cimodels.dag import Dag
 from cimodels.logic import (
     EMPTY,
     And,
@@ -28,6 +29,7 @@ from cimodels.logic import (
     Var,
 )
 from cimodels.represent import AxiomViolation
+from cimodels.ugraph import UndirectedGraph
 
 
 def dag_count(n: int) -> int:
@@ -247,6 +249,27 @@ def acyclic_arc_masks_bruteforce(n: int) -> list[int]:
         if not remaining:
             result.append(mask)
     return result
+
+
+def entails_by_paths(family: str, given, query: Triple, universe: Universe) -> bool:
+    """Entailment in the ``causal`` or ``graph-isomorph`` family: try every
+    DAG or graph on the universe, deciding each triple by path enumeration."""
+    n = universe.n
+    if family == "causal":
+        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+        masks = acyclic_arc_masks_bruteforce(n)
+        build, decide = Dag, d_separates_by_paths
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        masks = range(1 << len(pairs))
+        build, decide = UndirectedGraph, separates_by_paths
+    for mask in masks:
+        member = build(universe, frozenset(p for k, p in enumerate(pairs) if (mask >> k) & 1))
+        if all(decide(member, t.a, t.c, t.b) for t in given) and not decide(
+            member, query.a, query.c, query.b
+        ):
+            return False
+    return True
 
 
 def _term_value(term: Term, assignment: dict[str, int], full: int) -> int:

@@ -188,8 +188,12 @@ class TestGraphFormat:
         assert g.edges == frozenset({(0, 1), (1, 2)})
 
     def test_duplicate_edge_rejected(self):
-        with pytest.raises(FormatError):
-            parse_graph("vars: a b\na -- b\nb -- a\n")
+        with pytest.raises(FormatError, match="^g.txt:3: duplicate edge b -- a$") as err:
+            parse_graph("vars: a b\na -- b\nb -- a\n", source="g.txt")
+        assert err.value.line == 3
+        # A malformed line is reported first, wherever it is.
+        with pytest.raises(FormatError, match="^g.txt:4: expected"):
+            parse_graph("vars: a b\na -- b\nb -- a\na b\n", source="g.txt")
 
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(FormatError) as err:
@@ -208,12 +212,14 @@ class TestDagFormat:
         assert d.arcs == frozenset({(0, 2), (0, 3), (1, 2), (4, 3)})
 
     def test_cycle_rejected(self):
-        with pytest.raises(FormatError):
+        # The reverse arc is another pair, not a duplicate.
+        with pytest.raises(FormatError, match="directed cycle"):
             parse_dag("vars: a b\na -> b\nb -> a\n")
 
     def test_duplicate_arc_rejected(self):
-        with pytest.raises(FormatError):
-            parse_dag("vars: a b\na -> b\na -> b\n")
+        with pytest.raises(FormatError, match="^d.txt:3: duplicate arc a -> b$") as err:
+            parse_dag("vars: a b\na -> b\na -> b\n", source="d.txt")
+        assert err.value.line == 3
 
     def test_unknown_label_with_position(self):
         with pytest.raises(FormatError) as err:

@@ -48,6 +48,7 @@ from cimodels.logic import _check_depth, _fmt
 
 from oracles import (
     check_clause_bruteforce,
+    entails_by_paths,
     model_satisfies_bruteforce,
     random_atom,
     random_clause,
@@ -213,6 +214,9 @@ def depth_gated_calls(formula, term):
         "satisfies": lambda: satisfies(valuation, formula, m),
         "satisfies term": lambda: satisfies(valuation, atom, m),
         "eval_term": lambda: eval_term(term, valuation),
+        "atoms_of term": lambda: atoms_of(Not(atom)),
+        "formula_variables term": lambda: formula_variables(Not(atom)),
+        "is_valid_valuation term": lambda: is_valid_valuation(valuation, Not(atom), m),
     }
 
 
@@ -312,6 +316,14 @@ class TestDepthGateInCode:
         assert formula_variables(deep) == ("X1", "X2", "X3")
         assert is_valid_valuation(valuation, deep, m)
         assert clause_of_formula(deep) is None
+        atom = parse_formula(ATOM)
+        ors = conjunction = atom
+        for _ in range(3000):
+            ors, conjunction = Or(ors, atom), And(conjunction, atom)
+        assert clause_of_formula(ors) == Clause((), (atom,) * 3001)
+        rule = clause_of_formula(implies(conjunction, atom))
+        assert rule == Clause((atom,) * 3001, (atom,))
+        assert clause_of_formula(formula_of_clause(rule)) == rule
 
 
 class TestPrinter:
@@ -669,6 +681,23 @@ class TestEntails:
         widened = Triple(0b001, 0b100, 0b010)
         assert entails("graph-isomorph", [given], widened, u)
         assert not entails("all-models", [given], widened, u)
+
+    def test_agrees_with_path_oracle(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for n in (2, 3, 4):
+            u = universe_of_size(n)
+            triples = [t for t in enumerate_disjoint_triples(u) if t.a and t.b]
+            for _ in range(8):
+                given = rng.sample(triples, rng.randrange(3))
+                query = rng.choice(triples)
+                if given and rng.random() < 0.3:
+                    query = rng.choice(given).reverse()
+                for family in ("causal", "graph-isomorph"):
+                    expected = entails_by_paths(family, given, query, u)
+                    assert entails(family, given, query, u) == expected
+                    outcomes.add((family, expected))
+        assert len(outcomes) == 4
 
     def test_unknown_family(self):
         u = universe_of_size(2)
