@@ -10,6 +10,8 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 MAX_UNIVERSE_SIZE = 16
@@ -95,6 +97,12 @@ class Universe:
         return Universe(tuple(self.names[i] for i in bits_of(mask)))
 
 
+def check_disjoint(a: int, c: int, b: int) -> None:
+    """Raise unless the three sets of a triple are pairwise disjoint."""
+    if a & c or a & b or c & b:
+        raise ValueError(f"triple sets must be pairwise disjoint: {a:#x}, {c:#x}, {b:#x}")
+
+
 @dataclass(frozen=True, slots=True)
 class Triple:
     """One independence statement: an ordered triple of pairwise-disjoint sets.
@@ -107,10 +115,7 @@ class Triple:
     b: int
 
     def __post_init__(self) -> None:
-        if self.a & self.c or self.a & self.b or self.c & self.b:
-            raise ValueError(
-                f"triple sets must be pairwise disjoint: {self.a:#x}, {self.c:#x}, {self.b:#x}"
-            )
+        check_disjoint(self.a, self.c, self.b)
 
     @property
     def span(self) -> int:
@@ -122,6 +127,24 @@ class Triple:
         return Triple(self.b, self.c, self.a)
 
 
+def triple_of_key(n: int, key: int) -> Triple:
+    """The triple an ``n``-label packed key stands for."""
+    mask = (1 << n) - 1
+    return Triple(key >> 2 * n, key >> n & mask, key & mask)
+
+
+def reverse_key(n: int, key: int) -> int:
+    """The packed key of the same triple with its two related sets swapped."""
+    mask = (1 << n) - 1
+    return (key & mask) << 2 * n | key & mask << n | key >> 2 * n
+
+
+def disjoint_keys(n: int) -> Iterator[int]:
+    """The keys of the ``4**n`` disjoint triples, in ``enumerate_disjoint_triples`` order."""
+    places = [(0, 1 << 2 * n + i, 1 << n + i, 1 << i) for i in reversed(range(n))]
+    return map(sum, product(*places))
+
+
 def enumerate_disjoint_triples(universe: Universe) -> Iterator[Triple]:
     """Yield every ordered triple of pairwise-disjoint sets exactly once.
 
@@ -129,24 +152,11 @@ def enumerate_disjoint_triples(universe: Universe) -> Iterator[Triple]:
     according to base-4 digit ``i`` of ``k``: 0 = unused, 1 = first set,
     2 = conditioning set, 3 = second set. There are exactly ``4**n`` triples.
     """
-    n = universe.n
-    for code in range(4**n):
-        a = c = b = 0
-        rest = code
-        for i in range(n):
-            digit = rest & 3
-            rest >>= 2
-            if digit == 1:
-                a |= 1 << i
-            elif digit == 2:
-                c |= 1 << i
-            elif digit == 3:
-                b |= 1 << i
-        yield Triple(a, c, b)
+    return map(partial(triple_of_key, universe.n), disjoint_keys(universe.n))
 
 
-def separated_triples(universe: Universe, reach: Callable[[int, int], int]) -> Iterator[Triple]:
-    """Yield, once each, the disjoint triples a separation oracle separates.
+def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iterator[int]:
+    """Yield, once each, the keys of the disjoint triples a separation oracle separates.
 
     ``reach(a, c)`` is the set of nodes reachable from a nonempty ``a`` along
     paths that ``c`` leaves open. ``(a, c, b)`` is separated exactly when
@@ -161,15 +171,16 @@ def separated_triples(universe: Universe, reach: Callable[[int, int], int]) -> I
             f"refusing to enumerate the 4**{universe.n} triples of {universe.n} > "
             f"{MAX_TRIPLE_ENUM_NODES} labels"
         )
-    full = universe.full_mask
+    full, n = universe.full_mask, universe.n
     for a in (*range(1, full + 1), 0):
         rest = full & ~a
         for c in submasks(rest):
             free = rest & ~c
             if a:
                 free &= ~reach(a, c)
+            head = a << 2 * n | c << n
             for b in submasks(free):
-                yield Triple(a, c, b)
+                yield head | b
 
 
 def compact_mask(mask: int, within: int) -> int:
@@ -187,35 +198,53 @@ def compact_mask(mask: int, within: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IndependencyModel:
     """An extensional set of independence triples over a universe.
 
     No symmetry or axiom closure is applied: the model holds exactly the
     triples it was given. Membership of ``(A, C, B)`` does not imply
     membership of ``(B, C, A)`` unless both were added.
+
+    Stored as ``keys``, one int ``a << 2n | c << n | b`` per triple (``n`` labels):
+    ascending keys are in ``(a, c, b)`` order; ``triples`` decodes on first use.
     """
 
     universe: Universe
-    triples: frozenset[Triple]
+    keys: frozenset[int]
 
-    def __post_init__(self) -> None:
-        triples = frozenset(self.triples)
-        object.__setattr__(self, "triples", triples)
-        full = self.universe.full_mask
+    def __init__(self, universe: Universe, triples: Iterable[Triple]) -> None:
+        triples, n = frozenset(triples), universe.n
         for t in triples:
-            if t.span & ~full:
+            if t.span >> n:
                 raise ValueError(f"triple {t} uses bits outside the universe")
+        keys = frozenset(t.a << 2 * n | t.c << n | t.b for t in triples)
+        vars(self).update(universe=universe, keys=keys, triples=triples)
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self.triples
+    @classmethod
+    def _from_keys(cls, universe: Universe, keys: Iterable[int]) -> "IndependencyModel":
+        """The model of ``keys``, taken as valid packed keys of ``universe``."""
+        model = object.__new__(cls)
+        vars(model).update(universe=universe, keys=frozenset(keys))
+        return model
+
+    @cached_property
+    def triples(self) -> frozenset[Triple]:
+        """The triples as ``Triple`` values; stored once wholly decoded."""
+        return frozenset(map(partial(triple_of_key, self.universe.n), self.keys))
+
+    def __contains__(self, triple: object) -> bool:
+        n = self.universe.n
+        fits = isinstance(triple, Triple) and not triple.span >> n
+        return fits and triple.a << 2 * n | triple.c << n | triple.b in self.keys
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.keys)
 
     def is_symmetric(self) -> bool:
         """True iff membership is invariant under swapping the two related sets."""
-        return all(t.reverse() in self.triples for t in self.triples)
+        n, keys = self.universe.n, self.keys
+        return all(reverse_key(n, k) in keys for k in keys)
 
     def restrict(self, v_mask: int) -> "IndependencyModel":
         """The sub-model of the triples whose three sets all lie inside ``v_mask``.
@@ -228,26 +257,15 @@ class IndependencyModel:
         if v_mask == 0:
             raise ValueError("cannot restrict to the empty set of variables")
         sub = self.universe.subuniverse(v_mask)
-        kept = frozenset(
-            Triple(
-                compact_mask(t.a, v_mask),
-                compact_mask(t.c, v_mask),
-                compact_mask(t.b, v_mask),
-            )
-            for t in self.triples
-            if not t.span & ~v_mask
+        n, m, mask = self.universe.n, sub.n, self.universe.full_mask
+        inside = v_mask << 2 * n | v_mask << n | v_mask
+        compact = {s: compact_mask(s, v_mask) for s in submasks(v_mask)}
+        kept = (
+            compact[k >> 2 * n] << 2 * m | compact[k >> n & mask] << m | compact[k & mask]
+            for k in self.keys
+            if not k & ~inside
         )
-        return IndependencyModel(sub, kept)
-
-
-def packed_keys(model: IndependencyModel) -> frozenset[int]:
-    """The model's triples packed into ints, ``a | c << n | b << 2n``.
-
-    Testing a key for membership hashes one int; testing a ``Triple`` first
-    builds it and hashes its three fields.
-    """
-    n = model.universe.n
-    return frozenset(t.a | t.c << n | t.b << 2 * n for t in model.triples)
+        return IndependencyModel._from_keys(sub, kept)
 
 
 def model_equals(first: IndependencyModel, second: IndependencyModel) -> bool:
@@ -260,4 +278,4 @@ def model_equals(first: IndependencyModel, second: IndependencyModel) -> bool:
         raise ValueError(
             f"universe mismatch: {first.universe.names} vs {second.universe.names}"
         )
-    return first.triples == second.triples
+    return first.keys == second.keys

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .core import IndependencyModel, Triple, Universe, bits_of, separated_triples
+from .core import IndependencyModel, Triple, Universe, bits_of, separated_keys
 from .ugraph import UndirectedGraph, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
@@ -158,9 +158,8 @@ class Dag:
 
     def dsep_model(self) -> IndependencyModel:
         """The model of all disjoint triples this DAG d-separates."""
-        return IndependencyModel(
-            self.universe, frozenset(separated_triples(self.universe, self._active_reach))
-        )
+        keys = separated_keys(self.universe, self._active_reach)
+        return IndependencyModel._from_keys(self.universe, keys)
 
     def dag_pair_connected(self, alpha: int, beta: int) -> bool:
         """True iff the two nodes are joined by an arc in either direction.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from .core import IndependencyModel, Triple, Universe
+from .core import IndependencyModel, Triple, Universe, check_disjoint
 from .dag import Dag
 from .ugraph import UndirectedGraph
 
@@ -110,14 +110,13 @@ def format_set(universe: Universe, mask: int) -> str:
 
 def parse_triple(universe: Universe, text: str, *, source: str | None = None, line: int | None = None) -> Triple:
     """A triple written ``<set> | <set> | <set>``."""
-    return _parse_triple(universe, text, {}, source=source, line=line)
+    return Triple(*_parse_sets(universe, text, {}, source=source, line=line))
 
 
-def _parse_triple(
+def _parse_sets(
     universe: Universe, text: str, masks: dict[str, int], *, source: str | None, line: int | None
-) -> Triple:
-    """``parse_triple`` that looks each set text up in ``masks`` first and
-    adds the texts it parses."""
+) -> tuple[int, int, int]:
+    """The three disjoint masks of a triple's text; set texts are memoised in ``masks``."""
     parts = text.split("|")
     if len(parts) != 3:
         raise FormatError(
@@ -130,9 +129,10 @@ def _parse_triple(
             mask = masks[part] = parse_set(universe, part, source=source, line=line)
         sets.append(mask)
     try:
-        return Triple(*sets)
+        check_disjoint(*sets)
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=line) from None
+    return tuple(sets)
 
 
 def format_triple(universe: Universe, triple: Triple) -> str:
@@ -146,15 +146,16 @@ def format_triple(universe: Universe, triple: Triple) -> str:
 def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     """Read a model file.
 
-    Each distinct set text is parsed once per call, through a dict from the
-    raw text between bars to its mask that is not kept between calls. A
-    repeated triple is one whose ``add`` leaves the set's size unchanged, so
-    each triple is hashed once.
+    Each line becomes a packed key (see ``IndependencyModel``), no ``Triple``
+    built. Each distinct set text is parsed once per call, through a dict from
+    the raw text between bars to its mask that is not kept between calls. A
+    repeated triple is one whose key's ``add`` leaves the key set's size unchanged.
     """
     lines = _content_lines(text)
     universe = _parse_header(lines, source=source)
+    n = universe.n
     masks: dict[str, int] = {}
-    triples: set[Triple] = set()
+    keys: set[int] = set()
     for lineno, content in lines:
         if not content.startswith("I ") and content != "I":
             raise FormatError(
@@ -162,30 +163,26 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
                 source=source,
                 line=lineno,
             )
-        triple = _parse_triple(universe, content[1:], masks, source=source, line=lineno)
-        size = len(triples)
-        triples.add(triple)
-        if len(triples) == size:
-            raise FormatError(
-                f"duplicate triple 'I {format_triple(universe, triple)}'",
-                source=source,
-                line=lineno,
-            )
-    return IndependencyModel(universe, frozenset(triples))
+        a, c, b = _parse_sets(universe, content[1:], masks, source=source, line=lineno)
+        size = len(keys)
+        keys.add(a << 2 * n | c << n | b)
+        if len(keys) == size:
+            triple = format_triple(universe, Triple(a, c, b))
+            raise FormatError(f"duplicate triple 'I {triple}'", source=source, line=lineno)
+    return IndependencyModel._from_keys(universe, keys)
 
 
 def format_model(model: IndependencyModel) -> str:
-    """Write a model file, triples sorted by ``(a, c, b)``.
+    """Write a model file, triples in ascending key order, i.e. ``(a, c, b)`` order.
 
     Each distinct set is written once per call, through a dict from mask to
     text that is not kept between calls.
     """
     u = model.universe
-    lines = [_vars_line(u)]
-    masks = {m for t in model.triples for m in (t.a, t.c, t.b)}
-    text = {m: format_set(u, m) for m in masks}
-    for t in sorted(model.triples, key=lambda t: (t.a, t.c, t.b)):
-        lines.append(f"I {text[t.a]} | {text[t.c]} | {text[t.b]}")
+    n, mask = u.n, u.full_mask
+    sets = [(k >> 2 * n, k >> n & mask, k & mask) for k in sorted(model.keys)]
+    text = {m: format_set(u, m) for m in set().union(*sets)}
+    lines = [_vars_line(u)] + [f"I {text[a]} | {text[c]} | {text[b]}" for a, c, b in sets]
     return "\n".join(lines) + "\n"
 
 

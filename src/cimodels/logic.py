@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of, packed_keys
+from .core import IndependencyModel, Triple, Universe, bits_of
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
@@ -378,9 +379,9 @@ def _fmt(node: Formula | Term, min_prec: int) -> str:
     return f"({body})" if prec < min_prec else body
 
 
-def _check_depth(node: Formula | Term, *, printed: bool = False) -> None:
+def _check_depth(node: Formula | Term, *, printed: bool = False) -> set[str]:
     """Raise ``ValueError`` when a formula or term nests deeper than
-    ``MAX_FORMULA_DEPTH``.
+    ``MAX_FORMULA_DEPTH``; return the names of its variables.
 
     The parser's rule: count the operators on the longest path down to a
     variable or ``empty``; the brackets of ``I(...)`` do not count, and the
@@ -392,9 +393,12 @@ def _check_depth(node: Formula | Term, *, printed: bool = False) -> None:
     ``(a -> b) | c``, one level deeper on ``b``'s path. Iterative, so any
     depth is checked before any recursive walk.
     """
+    names: set[str] = set()
     stack = [(node, 0, 0)]
     while stack:
         node, depth, min_prec = stack.pop()
+        if isinstance(node, Var):
+            names.add(node.name)
         if isinstance(node, (Var, Empty)):
             continue
         if isinstance(node, Atom):
@@ -407,6 +411,7 @@ def _check_depth(node: Formula | Term, *, printed: bool = False) -> None:
             raise ValueError(f"{kind} nested deeper than {MAX_FORMULA_DEPTH} levels")
         for child, child_prec in children:
             stack.append((child, depth, child_prec))
+    return names
 
 
 # Structure queries
@@ -435,13 +440,8 @@ def atoms_of(formula: Formula) -> tuple[Atom, ...]:
 
 
 def term_variables(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Empty):
-        return set()
-    if isinstance(term, Complement):
-        return term_variables(term.operand)
-    return term_variables(term.left) | term_variables(term.right)
+    """Names of the variables in ``term``; ``ValueError`` past ``MAX_FORMULA_DEPTH``."""
+    return _check_depth(term)
 
 
 def formula_variables(formula: Formula) -> tuple[str, ...]:
@@ -450,11 +450,7 @@ def formula_variables(formula: Formula) -> tuple[str, ...]:
 
 
 def _variables(atoms: Sequence[Atom]) -> tuple[str, ...]:
-    names: set[str] = set()
-    for atom in atoms:
-        for t in (atom.t1, atom.t2, atom.t3):
-            names |= term_variables(t)
-    return tuple(sorted(names))
+    return tuple(sorted(set().union(*map(_check_depth, atoms))))
 
 
 # Valuations and satisfaction
@@ -462,13 +458,13 @@ def _variables(atoms: Sequence[Atom]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Valuation:
-    """An assignment of variable sets to term variables over a universe."""
+    """Variable sets assigned to term variables over a universe; ``assignment`` is read-only."""
 
     universe: Universe
     assignment: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", dict(self.assignment))
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
         for name, mask in self.assignment.items():
             self.universe.check_mask(mask)
 
@@ -543,7 +539,7 @@ def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) 
     if not is_valid_valuation(valuation, formula, model):
         raise ValueError("valuation is not valid for the formula")
     atoms = atoms_of(formula)
-    truths = [Triple(*_atom_sets(atom, valuation)) in model.triples for atom in atoms]
+    truths = [Triple(*_atom_sets(atom, valuation)) in model for atom in atoms]
     return _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})(truths)
 
 
@@ -563,8 +559,9 @@ def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: i
 # valuations are exactly P^n for the set P of allowed patterns. Under a pattern
 # each atom places the element in t1, t2, t3 or none of them: a digit 1, 2, 3
 # or 0, the a/c/b code of ``enumerate_disjoint_triples``. An atom's triple
-# (a, c, b) is keyed as ``a | c << n | b << 2n``, so under a valuation its key
-# is the sum of what the element patterns contribute, one bit per element.
+# has the packed key ``a << 2n | c << n | b`` of ``IndependencyModel``, so
+# under a valuation its key is the sum of what the element patterns
+# contribute, one bit per element.
 
 
 def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tuple[int, ...]]:
@@ -615,11 +612,9 @@ def model_satisfies(
     n = model.universe.n
     digits = _allowed_digits(atoms, names)
     # columns[i]: each allowed pattern's per-atom key contributions at element i.
-    columns = []
-    for i in range(n):
-        place = (0, 1 << i, 1 << n + i, 1 << 2 * n + i)
-        columns.append([tuple(place[d] for d in pattern) for pattern in digits])
-    in_model = packed_keys(model).__contains__
+    places = [(0, 1 << 2 * n + i, 1 << n + i, 1 << i) for i in range(n)]
+    columns = [[tuple(place[d] for d in pattern) for pattern in digits] for place in places]
+    in_model = model.keys.__contains__
     truth = _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})
     for valuation in product(*columns):
         if not truth(tuple(map(in_model, map(sum, zip(*valuation))))):

@@ -6,14 +6,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations, groupby
 
 from .core import (
     IndependencyModel,
     Triple,
-    enumerate_disjoint_triples,
-    packed_keys,
-    separated_triples,
+    disjoint_keys,
+    reverse_key,
+    separated_keys,
     submasks,
+    triple_of_key,
 )
 from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
@@ -62,28 +65,19 @@ def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
     if alpha == beta:
         raise ValueError("the two nodes must be distinct")
     model.universe.check_mask((1 << alpha) | (1 << beta))
-    am, bm = 1 << alpha, 1 << beta
-    for t in model.triples:
-        if (t.a == am and t.b == bm) or (t.a == bm and t.b == am):
-            return False
-    return True
+    return (min(alpha, beta), max(alpha, beta)) in _skeleton_edges(model)
 
 
 def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
-    """The pairs ``(i, j)``, ``i < j``, for which ``dependent_always`` holds.
+    """The pairs ``(i, j)``, ``i < j``, that no triple of the model separates.
 
-    One pass over the model's triples instead of one per pair. A triple
-    whose two disjoint, nonempty sets together form a pair has a singleton on
-    each side, so it separates that pair.
+    One pass over the model's keys. A triple whose two disjoint, nonempty
+    sets together form a pair has a singleton on each side, so it separates
+    that pair.
     """
-    separable = {t.a | t.b for t in model.triples if t.a and t.b}
-    n = model.universe.n
-    return [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if (1 << i) | (1 << j) not in separable
-    ]
+    n, mask = model.universe.n, model.universe.full_mask
+    separable = {k >> 2 * n | k & mask for k in model.keys if k >> 2 * n and k & mask}
+    return [(i, j) for i, j in combinations(range(n), 2) if 1 << i | 1 << j not in separable]
 
 
 def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
@@ -95,11 +89,11 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     triple on which the two disagree is reported.
     """
     candidate = UndirectedGraph(model.universe, frozenset(_skeleton_edges(model)))
-    differ = candidate.separation_model().triples ^ model.triples
+    differ = candidate.separation_model().keys ^ model.keys
     if not differ:
         return RepresentabilityResult(True, candidate, None)
-    first = next(t for t in enumerate_disjoint_triples(model.universe) if t in differ)
-    return RepresentabilityResult(False, None, first)
+    first = next(k for k in disjoint_keys(model.universe.n) if k in differ)
+    return RepresentabilityResult(False, None, triple_of_key(model.universe.n, first))
 
 
 def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
@@ -108,13 +102,13 @@ def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
     Stops at the first separated triple ``model`` lacks; with none missing,
     the two are equal exactly when they have as many triples.
     """
-    triples = model.triples
+    keys = model.keys
     count = 0
-    for t in separated_triples(model.universe, dag._active_reach):
-        if t not in triples:
+    for k in separated_keys(model.universe, dag._active_reach):
+        if k not in keys:
             return False
         count += 1
-    return count == len(triples)
+    return count == len(keys)
 
 
 def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
@@ -168,41 +162,37 @@ def check_semigraphoid(model: IndependencyModel) -> list[AxiomViolation]:
     """All violated instances of the four closure schemata.
 
     Instances are generated from the model's own triples (an instance whose
-    premises are absent can never be violated), in a deterministic order.
-    Conclusions are looked up by packed key (``core.packed_keys``), built
-    once per call; a ``Triple`` is built only for a conclusion reported
-    missing.
+    premises are absent can never be violated), in a deterministic order: each
+    schema in turn, premises in ascending key order, which is ``(a, c, b)``
+    order. Conclusions are looked up by key; ``Triple``s are built only for
+    reported violations.
     """
-    n = model.universe.n
-    keys = packed_keys(model)
-    ordered = sorted(model.triples, key=lambda t: (t.a, t.c, t.b))
+    n, mask, keys = model.universe.n, model.universe.full_mask, model.keys
+    ordered = sorted(keys)
+    triple = partial(triple_of_key, n)
     violations: list[AxiomViolation] = []
 
-    for t in ordered:
-        if t.b | t.c << n | t.a << 2 * n not in keys:
-            violations.append(AxiomViolation("symmetry", (t,), t.reverse()))
+    for k in ordered:
+        if reverse_key(n, k) not in keys:
+            violations.append(AxiomViolation("symmetry", (triple(k),), triple(k).reverse()))
 
-    for t in ordered:
-        a, c, b = t.a, t.c, t.b
-        first_two = a | c << n
-        # Split the second set into a kept part and a dropped part.
+    for k in ordered:
+        b = k & mask
+        # Split the second set (a, c, b) into a kept part and a dropped part.
         for sub in submasks(b):
-            last = sub << 2 * n
-            if first_two | last not in keys:
-                violations.append(AxiomViolation("decomposition", (t,), Triple(a, c, sub)))
-            moved = c | (b & ~sub)
-            if a | moved << n | last not in keys:
-                violations.append(AxiomViolation("weak_union", (t,), Triple(a, moved, sub)))
+            kept = k ^ b | sub
+            if kept not in keys:
+                violations.append(AxiomViolation("decomposition", (triple(k),), triple(kept)))
+            moved = kept | (b ^ sub) << n  # (a, c | dropped part, sub)
+            if moved not in keys:
+                violations.append(AxiomViolation("weak_union", (triple(k),), triple(moved)))
 
-    by_first_two: dict[int, list[Triple]] = {}
-    for t in ordered:
-        by_first_two.setdefault(t.a | t.c << n, []).append(t)
-    for t in ordered:
-        # t supplies the second premise (a, c, b); look for (a, c|b, d).
-        for other in by_first_two.get(t.a | (t.c | t.b) << n, ()):
-            merged = t.b | other.b
-            if t.a | t.c << n | merged << 2 * n not in keys:
-                violations.append(
-                    AxiomViolation("contraction", (other, t), Triple(t.a, t.c, merged))
-                )
+    by_first_two = {first_two: list(ks) for first_two, ks in groupby(ordered, lambda k: k >> n)}
+    for k in ordered:
+        # k supplies the second premise (a, c, b); look for (a, c|b, d).
+        for other in by_first_two.get(k >> n | k & mask, ()):
+            merged = k | other & mask
+            if merged not in keys:
+                premises = (triple(other), triple(k))
+                violations.append(AxiomViolation("contraction", premises, triple(merged)))
     return violations

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of, separated_triples
+from .core import IndependencyModel, Triple, Universe, bits_of, separated_keys
 
 MAX_GRAPH_ENUM_NODES = 6
 
@@ -72,7 +72,7 @@ class UndirectedGraph:
     def separation_model(self) -> IndependencyModel:
         """The model of all disjoint triples this graph separates."""
         reach = partial(reachable_mask, self.neighbor_masks)
-        return IndependencyModel(self.universe, frozenset(separated_triples(self.universe, reach)))
+        return IndependencyModel._from_keys(self.universe, separated_keys(self.universe, reach))
 
     def marginal_graph(self, v_mask: int) -> "UndirectedGraph":
         """Collapse this graph onto the nodes of ``v_mask``.

@@ -231,6 +231,58 @@ def check_semigraphoid_reference(model) -> list[AxiomViolation]:
     return violations
 
 
+def dependent_always_by_triples(model, alpha: int, beta: int) -> bool:
+    """True iff no triple of the model relates the two singletons, in either
+    orientation: one pass over the decoded ``Triple`` values."""
+    pair = {1 << alpha, 1 << beta}
+    return not any({t.a, t.b} == pair for t in model.triples)
+
+
+def all_triples(n: int) -> list[Triple]:
+    """Every disjoint triple on ``n`` labels, by placing each label in one
+    of the three sets or in none."""
+    triples = []
+    for places in product(range(4), repeat=n):
+        sets = [0, 0, 0, 0]
+        for i, place in enumerate(places):
+            sets[place] |= 1 << i
+        triples.append(Triple(sets[1], sets[2], sets[3]))
+    return triples
+
+
+class ReferenceModel:
+    """A model kept as a plain set of ``Triple`` values, every query answered
+    on that set: the representation the library's packed keys replace."""
+
+    def __init__(self, universe: Universe, triples) -> None:
+        self.universe = universe
+        self.triples = frozenset(triples)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return triple in self.triples
+
+    def __len__(self) -> int:
+        return len(self.triples)
+
+    def is_symmetric(self) -> bool:
+        return all(t.reverse() in self.triples for t in self.triples)
+
+    def restrict(self, v_mask: int) -> "ReferenceModel":
+        kept = [i for i in range(self.universe.n) if (v_mask >> i) & 1]
+
+        def compact(mask: int) -> int:
+            return sum(1 << j for j, i in enumerate(kept) if (mask >> i) & 1)
+
+        return ReferenceModel(
+            Universe(tuple(self.universe.names[i] for i in kept)),
+            (
+                Triple(compact(t.a), compact(t.c), compact(t.b))
+                for t in self.triples
+                if not (t.a | t.c | t.b) & ~v_mask
+            ),
+        )
+
+
 def acyclic_arc_masks_bruteforce(n: int) -> list[int]:
     """All DAG arc bitmasks in ascending order, by testing every mask."""
     pairs = [(i, j) for i in range(n) for j in range(n) if j != i]

@@ -1,5 +1,6 @@
-"""The induced-model kernel: ``separated_triples`` checked against the
+"""The induced-model kernel: ``separated_keys`` checked against the
 path-enumeration oracles, its submask helper, and the triple-enumeration gate.
+The kernel yields packed keys; the tests decode them with ``triple_of_key``.
 """
 
 import random
@@ -12,14 +13,20 @@ from cimodels.core import (
     IndependencyModel,
     Triple,
     enumerate_disjoint_triples,
-    separated_triples,
+    separated_keys,
     submasks,
+    triple_of_key,
 )
 from cimodels.dag import Dag, enumerate_dags
-from cimodels.represent import dependent_always, is_graph_isomorph, scan_causal_witness
+from cimodels.represent import is_graph_isomorph, scan_causal_witness
 from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reachable_mask
 
-from oracles import d_separates_by_paths, separates_by_paths, universe_of_size
+from oracles import (
+    d_separates_by_paths,
+    dependent_always_by_triples,
+    separates_by_paths,
+    universe_of_size,
+)
 
 
 def random_dag(rng, n):
@@ -34,6 +41,11 @@ def random_dag(rng, n):
 def random_graph(rng, n):
     edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4}
     return UndirectedGraph(universe_of_size(n), frozenset(edges))
+
+
+def separated_triples(universe, reach):
+    """The kernel's keys, decoded."""
+    return [triple_of_key(universe.n, k) for k in separated_keys(universe, reach)]
 
 
 def oracle_model(structure, decides):
@@ -104,7 +116,10 @@ class TestComparisons:
                 models.append(IndependencyModel(u, m.triples ^ {t}))
             for m in models:
                 edges = frozenset(
-                    (i, j) for i in range(n) for j in range(i + 1, n) if dependent_always(m, i, j)
+                    (i, j)
+                    for i in range(n)
+                    for j in range(i + 1, n)
+                    if dependent_always_by_triples(m, i, j)
                 )
                 candidate = UndirectedGraph(u, edges)
                 expected = next(
@@ -163,12 +178,12 @@ class TestTripleGate:
     def test_enumerates_at_the_gate(self):
         # Lazy: only the first (a, c) pair is looked at.
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES)
-        assert isinstance(next(separated_triples(u, lambda a, c: a)), Triple)
+        assert isinstance(triple_of_key(u.n, next(separated_keys(u, lambda a, c: a))), Triple)
 
     def test_raises_past_the_gate_without_enumerating(self):
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
         with pytest.raises(ValueError, match="refusing to enumerate"):
-            next(separated_triples(u, never_called))
+            next(separated_keys(u, never_called))
         with pytest.raises(ValueError, match="refusing to enumerate"):
             UndirectedGraph(u, frozenset()).separation_model()
         with pytest.raises(ValueError, match="refusing to enumerate"):

@@ -43,6 +43,7 @@ from cimodels.logic import (
     parse_clause,
     parse_formula,
     satisfies,
+    term_variables,
 )
 from cimodels.logic import _check_depth, _fmt
 
@@ -217,6 +218,7 @@ def depth_gated_calls(formula, term):
         "atoms_of term": lambda: atoms_of(Not(atom)),
         "formula_variables term": lambda: formula_variables(Not(atom)),
         "is_valid_valuation term": lambda: is_valid_valuation(valuation, Not(atom), m),
+        "term_variables": lambda: term_variables(term),
     }
 
 
@@ -384,6 +386,14 @@ class TestEvalTerm:
     def test_valuation_masks_validated(self):
         with pytest.raises(ValueError):
             Valuation(self.u, {"X1": 0b1000})
+
+    def test_assignment_is_read_only(self):
+        given = {"X1": 0b001}
+        v = Valuation(self.u, given)
+        with pytest.raises(TypeError):
+            v.assignment["X1"] = 1 << 5
+        given["X1"] = 1 << 5  # the valuation keeps its own copy
+        assert eval_term(Var("X1"), v) == 0b001
 
 
 class TestValidValuation:

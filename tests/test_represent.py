@@ -24,6 +24,7 @@ from oracles import (
     acyclic_arc_masks_bruteforce,
     check_semigraphoid_reference,
     dag_count,
+    dependent_always_by_triples,
     random_model,
     semigraphoid_violations_by_placements,
     universe_of_size,
@@ -211,9 +212,10 @@ class TestSkeletonPrunedScan:
             u = universe_of_size(n)
             for _ in range(10):
                 m = random_model(rng, u, p=rng.uniform(0.05, 0.5))
-                assert _skeleton_edges(m) == [
-                    (i, j) for i, j in combinations(range(n), 2) if dependent_always(m, i, j)
-                ]
+                pairs = list(combinations(range(n), 2))
+                expected = [(i, j) for i, j in pairs if dependent_always_by_triples(m, i, j)]
+                assert _skeleton_edges(m) == expected
+                assert [(i, j) for i, j in pairs if dependent_always(m, i, j)] == expected
 
 
 class TestCheckSemigraphoid:
