@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
 
-from .core import IndependencyModel, Triple, Universe, bits_of, separated_keys
+from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated_keys
 from .ugraph import UndirectedGraph, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
@@ -38,22 +38,12 @@ class Dag:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) outside the {n}-label universe")
-        children = [0] * n
-        for u, v in arcs:
-            children[u] |= 1 << v
-        # Peel sinks until nothing is left; leftovers witness a cycle.
-        remaining = (1 << n) - 1
-        progress = True
-        while remaining and progress:
-            progress = False
-            for i in bits_of(remaining):
-                if not children[i] & remaining:
-                    remaining &= ~(1 << i)
-                    progress = True
-        if remaining:
-            raise ValueError(
-                f"arcs contain a directed cycle among nodes {list(bits_of(remaining))}"
-            )
+        kids = self.child_masks
+        cyclic = sum(1 << i for i in range(n) if reachable_mask(kids, kids[i], 0) >> i & 1)
+        if cyclic:
+            # Listed: the nodes on a cycle and every node that reaches one.
+            stuck = reachable_mask(self.parent_masks, cyclic, 0)
+            raise ValueError(f"arcs contain a directed cycle among nodes {list(bits_of(stuck))}")
 
     @cached_property
     def child_masks(self) -> tuple[int, ...]:
@@ -71,10 +61,12 @@ class Dag:
 
     def descendants(self, w: int) -> int:
         """Strict descendants of ``w``: nodes reachable along arcs, excluding ``w``."""
+        self.universe.check_nodes(w)
         return reachable_mask(self.child_masks, 1 << w, 0) & ~(1 << w)
 
     def ancestors(self, w: int) -> int:
         """Strict ancestors of ``w``: nodes that reach ``w`` along arcs, excluding ``w``."""
+        self.universe.check_nodes(w)
         return reachable_mask(self.parent_masks, 1 << w, 0) & ~(1 << w)
 
     def ancestral_closure(self, mask: int) -> int:
@@ -94,7 +86,8 @@ class Dag:
         states, which finds an active walk iff an active path exists. The
         three masks must be pairwise disjoint.
         """
-        self.universe.check_mask(Triple(a, c, b).span)
+        check_disjoint(a, c, b)
+        self.universe.check_mask(a | c | b)
         if a == 0 or b == 0:
             return True
         return not self._active_reach(a, c) & b
@@ -133,11 +126,11 @@ class Dag:
         parents pairwise, drop arc directions, and test plain graph
         separation there.
         """
-        span = Triple(a, c, b).span
-        self.universe.check_mask(span)
+        check_disjoint(a, c, b)
+        self.universe.check_mask(a | c | b)
         if a == 0 or b == 0:
             return True
-        return self.moralized_ancestral_graph(span).separates(a, c, b)
+        return self.moralized_ancestral_graph(a | c | b).separates(a, c, b)
 
     def moralized_ancestral_graph(self, mask: int) -> UndirectedGraph:
         """Undirected graph on the ancestral closure of ``mask`` with married parents.
@@ -168,6 +161,7 @@ class Dag:
         """
         if alpha == beta:
             raise ValueError("the two nodes must be distinct")
+        self.universe.check_nodes(alpha, beta)
         return bool(
             (self.child_masks[alpha] >> beta) & 1 or (self.child_masks[beta] >> alpha) & 1
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterator
 
-from .core import IndependencyModel, Triple, Universe, check_disjoint
+from .core import IndependencyModel, Triple, Universe, check_disjoint, pack_key, unpack_keys
 from .dag import Dag
 from .ugraph import UndirectedGraph
 
@@ -146,9 +146,9 @@ def format_triple(universe: Universe, triple: Triple) -> str:
 def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     """Read a model file.
 
-    Each line becomes a packed key (see ``IndependencyModel``), no ``Triple``
-    built. Each distinct set text is parsed once per call, through a dict from
-    the raw text between bars to its mask that is not kept between calls. A
+    Each line becomes a packed key (``core.pack_key``), no ``Triple`` built.
+    Each distinct set text is parsed once per call, through a dict from the
+    raw text between bars to its mask that is not kept between calls. A
     repeated triple is one whose key's ``add`` leaves the key set's size unchanged.
     """
     lines = _content_lines(text)
@@ -165,7 +165,7 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
             )
         a, c, b = _parse_sets(universe, content[1:], masks, source=source, line=lineno)
         size = len(keys)
-        keys.add(a << 2 * n | c << n | b)
+        keys.add(pack_key(n, a, c, b))
         if len(keys) == size:
             triple = format_triple(universe, Triple(a, c, b))
             raise FormatError(f"duplicate triple 'I {triple}'", source=source, line=lineno)
@@ -179,8 +179,7 @@ def format_model(model: IndependencyModel) -> str:
     text that is not kept between calls.
     """
     u = model.universe
-    n, mask = u.n, u.full_mask
-    sets = [(k >> 2 * n, k >> n & mask, k & mask) for k in sorted(model.keys)]
+    sets = list(unpack_keys(u.n, sorted(model.keys)))
     text = {m: format_set(u, m) for m in set().union(*sets)}
     lines = [_vars_line(u)] + [f"I {text[a]} | {text[c]} | {text[b]}" for a, c, b in sets]
     return "\n".join(lines) + "\n"

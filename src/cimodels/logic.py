@@ -27,7 +27,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of
+from .core import IndependencyModel, Triple, Universe, bits_of, key_places
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
@@ -558,10 +558,9 @@ def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: i
 # valid iff no element's pattern puts it in two terms of one atom, so the valid
 # valuations are exactly P^n for the set P of allowed patterns. Under a pattern
 # each atom places the element in t1, t2, t3 or none of them: a digit 1, 2, 3
-# or 0, the a/c/b code of ``enumerate_disjoint_triples``. An atom's triple
-# has the packed key ``a << 2n | c << n | b`` of ``IndependencyModel``, so
-# under a valuation its key is the sum of what the element patterns
-# contribute, one bit per element.
+# or 0, the a/c/b code of ``enumerate_disjoint_triples``. Under a valuation
+# the packed key of an atom's triple is the sum of what each element adds to
+# it under its pattern's digit, ``core.key_places``.
 
 
 def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tuple[int, ...]]:
@@ -609,10 +608,9 @@ def model_satisfies(
     atoms = atoms_of(formula)
     names = _variables(atoms)
     _check_budget(model.universe, len(names), len(atoms), budget)
-    n = model.universe.n
     digits = _allowed_digits(atoms, names)
     # columns[i]: each allowed pattern's per-atom key contributions at element i.
-    places = [(0, 1 << 2 * n + i, 1 << n + i, 1 << i) for i in range(n)]
+    places = key_places(model.universe.n)
     columns = [[tuple(place[d] for d in pattern) for pattern in digits] for place in places]
     in_model = model.keys.__contains__
     truth = _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})

@@ -6,17 +6,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from itertools import combinations, groupby
+from itertools import combinations
 
 from .core import (
     IndependencyModel,
     Triple,
     disjoint_keys,
-    reverse_key,
     separated_keys,
     submasks,
-    triple_of_key,
+    unpack_keys,
 )
 from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
@@ -64,19 +62,19 @@ def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
     """
     if alpha == beta:
         raise ValueError("the two nodes must be distinct")
-    model.universe.check_mask((1 << alpha) | (1 << beta))
+    model.universe.check_nodes(alpha, beta)
     return (min(alpha, beta), max(alpha, beta)) in _skeleton_edges(model)
 
 
 def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
     """The pairs ``(i, j)``, ``i < j``, that no triple of the model separates.
 
-    One pass over the model's keys. A triple whose two disjoint, nonempty
+    One pass over the model's triples. A triple whose two disjoint, nonempty
     sets together form a pair has a singleton on each side, so it separates
     that pair.
     """
-    n, mask = model.universe.n, model.universe.full_mask
-    separable = {k >> 2 * n | k & mask for k in model.keys if k >> 2 * n and k & mask}
+    n = model.universe.n
+    separable = {a | b for a, _, b in unpack_keys(n, model.keys) if a and b}
     return [(i, j) for i, j in combinations(range(n), 2) if 1 << i | 1 << j not in separable]
 
 
@@ -92,8 +90,9 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     differ = candidate.separation_model().keys ^ model.keys
     if not differ:
         return RepresentabilityResult(True, candidate, None)
-    first = next(k for k in disjoint_keys(model.universe.n) if k in differ)
-    return RepresentabilityResult(False, None, triple_of_key(model.universe.n, first))
+    n = model.universe.n
+    first = next(k for k in disjoint_keys(n) if k in differ)
+    return RepresentabilityResult(False, None, Triple(*next(unpack_keys(n, [first]))))
 
 
 def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
@@ -163,36 +162,36 @@ def check_semigraphoid(model: IndependencyModel) -> list[AxiomViolation]:
 
     Instances are generated from the model's own triples (an instance whose
     premises are absent can never be violated), in a deterministic order: each
-    schema in turn, premises in ascending key order, which is ``(a, c, b)``
-    order. Conclusions are looked up by key; ``Triple``s are built only for
-    reported violations.
+    schema in turn, premises in ascending ``(a, c, b)`` order. The decoded
+    triples are held as nested maps ``a -> c -> b`` and every conclusion is
+    looked up by its sets; ``Triple``s are built only for reported violations.
     """
-    n, mask, keys = model.universe.n, model.universe.full_mask, model.keys
-    ordered = sorted(keys)
-    triple = partial(triple_of_key, n)
-    violations: list[AxiomViolation] = []
+    ordered = list(unpack_keys(model.universe.n, sorted(model.keys)))
+    held: dict[int, dict[int, dict[int, None]]] = {}  # b maps are dicts: b's stay ascending
+    for a, c, b in ordered:
+        held.setdefault(a, {}).setdefault(c, {})[b] = None
+    found: list[AxiomViolation] = []
 
-    for k in ordered:
-        if reverse_key(n, k) not in keys:
-            violations.append(AxiomViolation("symmetry", (triple(k),), triple(k).reverse()))
+    for a, c, b in ordered:
+        if a not in held.get(b, {}).get(c, ()):
+            found.append(AxiomViolation("symmetry", (Triple(a, c, b),), Triple(b, c, a)))
 
-    for k in ordered:
-        b = k & mask
-        # Split the second set (a, c, b) into a kept part and a dropped part.
+    for a, c, b in ordered:
+        by_c = held[a]
+        # Split the second set into a kept part and a dropped part.
         for sub in submasks(b):
-            kept = k ^ b | sub
-            if kept not in keys:
-                violations.append(AxiomViolation("decomposition", (triple(k),), triple(kept)))
-            moved = kept | (b ^ sub) << n  # (a, c | dropped part, sub)
-            if moved not in keys:
-                violations.append(AxiomViolation("weak_union", (triple(k),), triple(moved)))
+            if sub not in by_c[c]:
+                kept = Triple(a, c, sub)
+                found.append(AxiomViolation("decomposition", (Triple(a, c, b),), kept))
+            if sub not in by_c.get(c | b ^ sub, ()):
+                moved = Triple(a, c | b ^ sub, sub)
+                found.append(AxiomViolation("weak_union", (Triple(a, c, b),), moved))
 
-    by_first_two = {first_two: list(ks) for first_two, ks in groupby(ordered, lambda k: k >> n)}
-    for k in ordered:
-        # k supplies the second premise (a, c, b); look for (a, c|b, d).
-        for other in by_first_two.get(k >> n | k & mask, ()):
-            merged = k | other & mask
-            if merged not in keys:
-                premises = (triple(other), triple(k))
-                violations.append(AxiomViolation("contraction", premises, triple(merged)))
-    return violations
+    for a, c, b in ordered:
+        by_c = held[a]
+        # (a, c, b) is the second premise; look for a first one (a, c | b, d).
+        for d in by_c.get(c | b, ()):
+            if b | d not in by_c[c]:
+                premises = (Triple(a, c | b, d), Triple(a, c, b))
+                found.append(AxiomViolation("contraction", premises, Triple(a, c, b | d)))
+    return found

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of, separated_keys
+from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated_keys
 
 MAX_GRAPH_ENUM_NODES = 6
 
@@ -54,6 +54,7 @@ class UndirectedGraph:
         return tuple(masks)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self.universe.check_nodes(u, v)
         return (self.neighbor_masks[u] >> v) & 1 == 1
 
     def separates(self, a: int, c: int, b: int) -> bool:
@@ -64,7 +65,8 @@ class UndirectedGraph:
         pairwise disjoint; overlapping arguments raise instead of being
         normalized away.
         """
-        self.universe.check_mask(Triple(a, c, b).span)
+        check_disjoint(a, c, b)
+        self.universe.check_mask(a | c | b)
         if a == 0 or b == 0:
             return True
         return not reachable_mask(self.neighbor_masks, a, c) & b

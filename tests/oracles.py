@@ -289,18 +289,24 @@ def acyclic_arc_masks_bruteforce(n: int) -> list[int]:
     result = []
     for mask in range(1 << len(pairs)):
         arcs = {pairs[k] for k in range(len(pairs)) if (mask >> k) & 1}
-        children: dict[int, set[int]] = {i: set() for i in range(n)}
-        for u, v in arcs:
-            children[u].add(v)
-        remaining = set(range(n))
-        while remaining:
-            sinks = {i for i in remaining if not children[i] & remaining}
-            if not sinks:
-                break
-            remaining -= sinks
-        if not remaining:
+        if not nodes_left_by_peeling(n, arcs):
             result.append(mask)
     return result
+
+
+def nodes_left_by_peeling(n: int, arcs) -> set[int]:
+    """The nodes left after removing sinks until none remain: empty exactly
+    when the arcs are acyclic, else the nodes on or leading to a cycle."""
+    children: dict[int, set[int]] = {i: set() for i in range(n)}
+    for u, v in arcs:
+        children[u].add(v)
+    remaining = set(range(n))
+    while remaining:
+        sinks = {i for i in remaining if not children[i] & remaining}
+        if not sinks:
+            break
+        remaining -= sinks
+    return remaining
 
 
 def entails_by_paths(family: str, given, query: Triple, universe: Universe) -> bool:

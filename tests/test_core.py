@@ -11,11 +11,16 @@ from cimodels.core import (
     Universe,
     bits_of,
     compact_mask,
+    disjoint_keys,
     enumerate_disjoint_triples,
+    key_places,
     model_equals,
+    pack_key,
+    unpack_keys,
 )
-from cimodels.dag import enumerate_dags
-from cimodels.ugraph import enumerate_undirected_graphs
+from cimodels.dag import Dag, enumerate_dags
+from cimodels.represent import dependent_always
+from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import random_model, universe_of_size
 
@@ -106,6 +111,51 @@ class TestEnumerateDisjointTriples:
     def test_all_disjoint(self):
         for t in enumerate_disjoint_triples(universe_of_size(3)):
             assert t.a & t.c == 0 and t.a & t.b == 0 and t.c & t.b == 0
+
+
+class TestKeyCodec:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_codec_follows_enumeration_order(self, n):
+        # Triple k places label i by base-4 digit i of k: 1 = a, 2 = c, 3 = b.
+        expected = []
+        for k in range(4**n):
+            sets = [0, 0, 0, 0]
+            for i in range(n):
+                sets[k >> 2 * i & 3] |= 1 << i
+            expected.append((sets[1], sets[2], sets[3]))
+        keys = list(disjoint_keys(n))
+        triples = enumerate_disjoint_triples(universe_of_size(n))
+        assert [(t.a, t.c, t.b) for t in triples] == expected
+        assert keys == [a * 4**n + c * 2**n + b for a, c, b in expected]
+        assert [pack_key(n, a, c, b) for a, c, b in expected] == keys
+        assert list(unpack_keys(n, keys)) == expected
+        places = key_places(n)
+        assert [sum(places[i][k >> 2 * i & 3] for i in range(n)) for k in range(4**n)] == keys
+        # Ascending keys are (a, c, b) order.
+        assert list(unpack_keys(n, sorted(keys))) == sorted(expected)
+
+
+NODE_CALLS = {
+    "has_edge first": lambda g, d, m, i: g.has_edge(i, 1),
+    "has_edge second": lambda g, d, m, i: g.has_edge(1, i),
+    "dag_pair_connected": lambda g, d, m, i: d.dag_pair_connected(0, i),
+    "descendants": lambda g, d, m, i: d.descendants(i),
+    "ancestors": lambda g, d, m, i: d.ancestors(i),
+    "dependent_always": lambda g, d, m, i: dependent_always(m, i, 1),
+}
+
+
+@pytest.mark.parametrize("node", [-1, -3, 3, 9])
+@pytest.mark.parametrize("call", NODE_CALLS)
+def test_node_index_outside_the_universe_rejected(call, node):
+    # A negative index must not wrap to the last node (has_edge(-1, 1)
+    # would read the edge (1, 2)) or shift by a negative count, and a large
+    # one must not run past the mask tables.
+    u = universe_of_size(3)
+    graph = UndirectedGraph(u, frozenset({(1, 2)}))
+    dag = Dag(u, frozenset({(1, 2)}))
+    with pytest.raises(ValueError, match=f"^node {node} outside the 3-label universe$"):
+        NODE_CALLS[call](graph, dag, graph.separation_model(), node)
 
 
 class TestModel:

@@ -19,6 +19,7 @@ from oracles import (
     d_separates_by_paths,
     dag_count,
     descendants_by_relation,
+    nodes_left_by_peeling,
     universe_of_size,
 )
 
@@ -53,6 +54,22 @@ class TestDagInvariants:
             Dag(universe_of_size(3), frozenset({(0, 1), (1, 2), (2, 0)}))
         with pytest.raises(ValueError):
             Dag(universe_of_size(2), frozenset({(0, 1), (1, 0)}))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cycle_error_lists_what_peeling_sinks_leaves(self, n):
+        # Every arc set on n nodes: a cycle is reported, with the nodes on a
+        # cycle or leading to one, exactly when peeling sinks leaves nodes.
+        u = universe_of_size(n)
+        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+        for mask in range(1 << len(pairs)):
+            arcs = frozenset(pairs[k] for k in range(len(pairs)) if mask >> k & 1)
+            left = nodes_left_by_peeling(n, arcs)
+            if not left:
+                assert Dag(u, arcs).arcs == arcs
+                continue
+            with pytest.raises(ValueError) as err:
+                Dag(u, arcs)
+            assert str(err.value) == f"arcs contain a directed cycle among nodes {sorted(left)}"
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """The induced-model kernel: ``separated_keys`` checked against the
 path-enumeration oracles, its submask helper, and the triple-enumeration gate.
-The kernel yields packed keys; the tests decode them with ``triple_of_key``.
+The kernel yields packed keys; the tests decode them with ``unpack_keys``.
 """
 
 import random
@@ -15,7 +15,7 @@ from cimodels.core import (
     enumerate_disjoint_triples,
     separated_keys,
     submasks,
-    triple_of_key,
+    unpack_keys,
 )
 from cimodels.dag import Dag, enumerate_dags
 from cimodels.represent import is_graph_isomorph, scan_causal_witness
@@ -45,7 +45,7 @@ def random_graph(rng, n):
 
 def separated_triples(universe, reach):
     """The kernel's keys, decoded."""
-    return [triple_of_key(universe.n, k) for k in separated_keys(universe, reach)]
+    return [Triple(*s) for s in unpack_keys(universe.n, separated_keys(universe, reach))]
 
 
 def oracle_model(structure, decides):
@@ -178,7 +178,8 @@ class TestTripleGate:
     def test_enumerates_at_the_gate(self):
         # Lazy: only the first (a, c) pair is looked at.
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES)
-        assert isinstance(triple_of_key(u.n, next(separated_keys(u, lambda a, c: a))), Triple)
+        keys = separated_keys(u, lambda a, c: a)
+        assert isinstance(Triple(*next(unpack_keys(u.n, keys))), Triple)
 
     def test_raises_past_the_gate_without_enumerating(self):
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
