@@ -193,19 +193,12 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
                 yield head | b
 
 
-def compact_mask(mask: int, within: int) -> int:
-    """Re-index ``mask`` (a subset of ``within``) against the bits of ``within``.
-
-    Bit ``j`` of the result is set iff the ``j``-th lowest set bit of
-    ``within`` is in ``mask``.
-    """
-    if mask & ~within:
-        raise ValueError("mask is not contained in the restriction set")
-    out = 0
-    for new_i, old_i in enumerate(bits_of(within)):
-        if (mask >> old_i) & 1:
-            out |= 1 << new_i
-    return out
+def separated(universe: Universe, reach: Callable[[int, int], int], a: int, c: int, b: int) -> bool:
+    """Decide ``(a, c, b)`` as ``separated_keys`` does, once its three sets are
+    checked to be pairwise disjoint and inside ``universe``."""
+    check_disjoint(a, c, b)
+    universe.check_mask(a | c | b)
+    return not (a and b and reach(a, c) & b)
 
 
 @dataclass(frozen=True, init=False)
@@ -269,7 +262,8 @@ class IndependencyModel:
         sub = self.universe.subuniverse(v_mask)
         n, m = self.universe.n, sub.n
         inside = pack_key(n, v_mask, v_mask, v_mask)
-        compact = {s: compact_mask(s, v_mask) for s in submasks(v_mask)}
+        # Re-indexing keeps order, and submasks come in descending order.
+        compact = dict(zip(submasks(v_mask), reversed(range(1 << m))))
         kept = unpack_keys(n, [k for k in self.keys if not k & ~inside])
         keys = [pack_key(m, compact[a], compact[c], compact[b]) for a, c, b in kept]
         return IndependencyModel._from_keys(sub, keys)

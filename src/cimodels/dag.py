@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterator
 
-from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated_keys
-from .ugraph import UndirectedGraph, reachable_mask
+from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated, separated_keys
+from .ugraph import UndirectedGraph, _check_pairs, _out_masks, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
 
@@ -33,11 +34,7 @@ class Dag:
         n = self.universe.n
         arcs = frozenset(self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u}, {v}) outside the {n}-label universe")
+        _check_pairs(self.universe, arcs, "arc")
         kids = self.child_masks
         cyclic = sum(1 << i for i in range(n) if reachable_mask(kids, kids[i], 0) >> i & 1)
         if cyclic:
@@ -47,17 +44,11 @@ class Dag:
 
     @cached_property
     def child_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.universe.n
-        for u, v in self.arcs:
-            masks[u] |= 1 << v
-        return tuple(masks)
+        return _out_masks(self.universe.n, self.arcs)
 
     @cached_property
     def parent_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.universe.n
-        for u, v in self.arcs:
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return _out_masks(self.universe.n, [(v, u) for u, v in self.arcs])
 
     def descendants(self, w: int) -> int:
         """Strict descendants of ``w``: nodes reachable along arcs, excluding ``w``."""
@@ -71,6 +62,7 @@ class Dag:
 
     def ancestral_closure(self, mask: int) -> int:
         """``mask`` together with all ancestors of its members."""
+        self.universe.check_mask(mask)
         return reachable_mask(self.parent_masks, mask, 0)
 
     def d_separates(self, a: int, c: int, b: int) -> bool:
@@ -86,11 +78,7 @@ class Dag:
         states, which finds an active walk iff an active path exists. The
         three masks must be pairwise disjoint.
         """
-        check_disjoint(a, c, b)
-        self.universe.check_mask(a | c | b)
-        if a == 0 or b == 0:
-            return True
-        return not self._active_reach(a, c) & b
+        return separated(self.universe, self._active_reach, a, c, b)
 
     def _active_reach(self, a: int, c: int) -> int:
         """Nodes reachable from ``a`` along a trail that ``c`` leaves active."""
@@ -126,10 +114,7 @@ class Dag:
         parents pairwise, drop arc directions, and test plain graph
         separation there.
         """
-        check_disjoint(a, c, b)
-        self.universe.check_mask(a | c | b)
-        if a == 0 or b == 0:
-            return True
+        check_disjoint(a, c, b)  # before the mask check, as in the other deciders
         return self.moralized_ancestral_graph(a | c | b).separates(a, c, b)
 
     def moralized_ancestral_graph(self, mask: int) -> UndirectedGraph:
@@ -137,16 +122,11 @@ class Dag:
 
         Nodes outside the closure are kept in the universe but left isolated.
         """
-        keep = self.ancestral_closure(mask)
-        parents = self.parent_masks
         edges = set()
-        for v in bits_of(keep):
-            ps = parents[v]  # ancestral closures are parent-closed
-            for p in bits_of(ps):
-                edges.add((p, v) if p < v else (v, p))
-                spouses = ps & ~((1 << (p + 1)) - 1)
-                for q in bits_of(spouses):
-                    edges.add((p, q))
+        for v in bits_of(self.ancestral_closure(mask)):
+            # v and its parents become a clique (ancestral closures are parent-closed); a
+            # list, since combinations over a generator filled CPython's tuple free lists.
+            edges.update(combinations(list(bits_of(self.parent_masks[v] | 1 << v)), 2))
         return UndirectedGraph(self.universe, frozenset(edges))
 
     def dsep_model(self) -> IndependencyModel:

@@ -327,7 +327,7 @@ def format_term(term: Term) -> str:
     """Render a term.
 
     Raises ``ValueError`` when the text would nest deeper than
-    ``MAX_FORMULA_DEPTH`` (see ``_check_depth``).
+    ``MAX_FORMULA_DEPTH`` or name a variable that is no identifier (see ``_check_depth``).
     """
     _check_depth(term, printed=True)
     return _fmt(term, 0)
@@ -338,7 +338,7 @@ def format_formula(formula: Formula) -> str:
 
     Raises ``ValueError`` when the text would nest deeper than
     ``MAX_FORMULA_DEPTH``, the parser's gate, counting the parentheses the
-    printer adds (see ``_check_depth``).
+    printer adds, or name a variable that is no identifier (see ``_check_depth``).
     """
     _check_depth(formula, printed=True)
     return _fmt(formula, 0)
@@ -390,7 +390,9 @@ def _check_depth(node: Formula | Term, *, printed: bool = False) -> set[str]:
     parentheses the printer adds counts once more, as the parser counts it,
     so text the printer writes always parses. A parsed formula can still
     fail this stricter rule at the edge: text ``!a | b | c`` prints as
-    ``(a -> b) | c``, one level deeper on ``b``'s path. Iterative, so any
+    ``(a -> b) | c``, one level deeper on ``b``'s path. Also with ``printed``,
+    each variable name must be an identifier the tokenizer reads whole (a
+    letter, then letters and digits) and not ``empty``. Iterative, so any
     depth is checked before any recursive walk.
     """
     names: set[str] = set()
@@ -398,7 +400,12 @@ def _check_depth(node: Formula | Term, *, printed: bool = False) -> set[str]:
     while stack:
         node, depth, min_prec = stack.pop()
         if isinstance(node, Var):
-            names.add(node.name)
+            name = node.name
+            names.add(name)
+            if printed and not (
+                isinstance(name, str) and name[:1].isalpha() and name.isalnum() and name != "empty"
+            ):
+                raise ValueError(f"variable name {name!r} does not print as an identifier")
         if isinstance(node, (Var, Empty)):
             continue
         if isinstance(node, Atom):

@@ -12,6 +12,7 @@ from .core import (
     IndependencyModel,
     Triple,
     disjoint_keys,
+    pack_key,
     separated_keys,
     submasks,
     unpack_keys,
@@ -58,24 +59,23 @@ def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
     """True iff no conditioning set renders the two singletons independent.
 
     Both orientations are consulted, since stored models need not be
-    symmetric.
+    symmetric: the model is looked up for ``({alpha}, c, {beta})`` and
+    ``({beta}, c, {alpha})`` with ``c`` over the subsets of the other labels.
     """
     if alpha == beta:
         raise ValueError("the two nodes must be distinct")
     model.universe.check_nodes(alpha, beta)
-    return (min(alpha, beta), max(alpha, beta)) in _skeleton_edges(model)
+    n, keys, a, b = model.universe.n, model.keys, 1 << alpha, 1 << beta
+    return not any(
+        pack_key(n, a, c, b) in keys or pack_key(n, b, c, a) in keys
+        for c in submasks(model.universe.full_mask & ~(a | b))
+    )
 
 
 def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
-    """The pairs ``(i, j)``, ``i < j``, that no triple of the model separates.
-
-    One pass over the model's triples. A triple whose two disjoint, nonempty
-    sets together form a pair has a singleton on each side, so it separates
-    that pair.
-    """
-    n = model.universe.n
-    separable = {a | b for a, _, b in unpack_keys(n, model.keys) if a and b}
-    return [(i, j) for i, j in combinations(range(n), 2) if 1 << i | 1 << j not in separable]
+    """The pairs ``(i, j)``, ``i < j``, that no triple of the model separates."""
+    pairs = combinations(range(model.universe.n), 2)
+    return [(i, j) for i, j in pairs if dependent_always(model, i, j)]
 
 
 def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated_keys
+from .core import IndependencyModel, Universe, bits_of, separated, separated_keys
 
 MAX_GRAPH_ENUM_NODES = 6
 
@@ -27,6 +27,24 @@ def reachable_mask(neighbors: Sequence[int], start: int, removed: int) -> int:
     return seen
 
 
+def _check_pairs(universe: Universe, pairs: Iterable[tuple[int, int]], kind: str) -> None:
+    """Raise on the first pair, in the order given, that is a loop or leaves ``universe``."""
+    n = universe.n
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"{kind} ({u}, {v}) outside the {n}-label universe")
+
+
+def _out_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Per node ``u`` of ``n``, the mask of the nodes ``v`` with ``(u, v)`` in ``pairs``."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+    return tuple(masks)
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
     """An undirected graph over a universe; edges are unordered index pairs."""
@@ -35,23 +53,14 @@ class UndirectedGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        n = self.universe.n
-        normalized = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) outside the {n}-label universe")
-            normalized.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
+        edges = tuple(self.edges)  # may be a one-shot iterator
+        _check_pairs(self.universe, edges, "edge")
+        ordered = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
+        object.__setattr__(self, "edges", ordered)
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.universe.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return _out_masks(self.universe.n, self.edges | {(v, u) for u, v in self.edges})
 
     def has_edge(self, u: int, v: int) -> bool:
         self.universe.check_nodes(u, v)
@@ -65,11 +74,7 @@ class UndirectedGraph:
         pairwise disjoint; overlapping arguments raise instead of being
         normalized away.
         """
-        check_disjoint(a, c, b)
-        self.universe.check_mask(a | c | b)
-        if a == 0 or b == 0:
-            return True
-        return not reachable_mask(self.neighbor_masks, a, c) & b
+        return separated(self.universe, partial(reachable_mask, self.neighbor_masks), a, c, b)
 
     def separation_model(self) -> IndependencyModel:
         """The model of all disjoint triples this graph separates."""
@@ -100,8 +105,7 @@ class UndirectedGraph:
                 endpoints |= nbrs[o]
             for old_v in bits_of(endpoints & v_mask):
                 if old_v != old_u:
-                    u, v = new_index[old_u], new_index[old_v]
-                    edges.add((u, v) if u < v else (v, u))
+                    edges.add((new_index[old_u], new_index[old_v]))
         return UndirectedGraph(self.universe.subuniverse(v_mask), frozenset(edges))
 
 

@@ -1,6 +1,7 @@
 """Universe, triple, and model basics."""
 
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,6 @@ from cimodels.core import (
     Triple,
     Universe,
     bits_of,
-    compact_mask,
     disjoint_keys,
     enumerate_disjoint_triples,
     key_places,
@@ -69,13 +69,6 @@ class TestUniverse:
 def test_bits_of():
     assert list(bits_of(0b10110)) == [1, 2, 4]
     assert list(bits_of(0)) == []
-
-
-def test_compact_mask():
-    assert compact_mask(0b1010, 0b1110) == 0b101
-    assert compact_mask(0, 0b111) == 0
-    with pytest.raises(ValueError):
-        compact_mask(0b1, 0b10)
 
 
 class TestTriple:
@@ -156,6 +149,51 @@ def test_node_index_outside_the_universe_rejected(call, node):
     dag = Dag(u, frozenset({(1, 2)}))
     with pytest.raises(ValueError, match=f"^node {node} outside the 3-label universe$"):
         NODE_CALLS[call](graph, dag, graph.separation_model(), node)
+
+
+# Pair lists on 3 labels and, per bad pair, the text each constructor raises
+# for it ("{}" is "edge" or "arc"). A loop is reported as a loop even when it
+# also lies outside the universe.
+OUTSIDE = "{} ({}, {}) outside the 3-label universe"
+BAD_PAIRS = {
+    "loop first": (
+        [(0, 1), (2, 2), (0, 5)],
+        {(2, 2): "self-loop at node 2", (0, 5): OUTSIDE.format("{}", 0, 5)},
+    ),
+    "range first": (
+        [(1, 0), (0, 5), (2, 2)],
+        {(0, 5): OUTSIDE.format("{}", 0, 5), (2, 2): "self-loop at node 2"},
+    ),
+    "negative": ([(2, 1), (-1, 2)], {(-1, 2): OUTSIDE.format("{}", -1, 2)}),
+    "loop outside": (
+        [(3, 3), (1, 3)],
+        {(3, 3): "self-loop at node 3", (1, 3): OUTSIDE.format("{}", 1, 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAIRS)
+@pytest.mark.parametrize("given", [list, tuple, iter])
+def test_graph_reports_the_first_bad_edge_in_the_order_given(case, given):
+    pairs, messages = BAD_PAIRS[case]
+    first = next(p for p in pairs if p in messages)
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[first].format('edge'))}$"):
+        UndirectedGraph(universe_of_size(3), given(pairs))
+
+
+@pytest.mark.parametrize("case", BAD_PAIRS)
+def test_dag_reports_the_first_bad_arc_of_its_frozen_arcs(case):
+    pairs, messages = BAD_PAIRS[case]
+    first = next(p for p in frozenset(pairs) if p in messages)
+    with pytest.raises(ValueError, match=f"^{re.escape(messages[first].format('arc'))}$"):
+        Dag(universe_of_size(3), (p for p in pairs))
+
+
+def test_graph_from_a_generator_keeps_every_edge_ordered():
+    # A one-shot iterator is read once, so checking it does not use up the edges.
+    g = UndirectedGraph(universe_of_size(4), ((v, u) for u, v in [(0, 1), (1, 3), (2, 3)]))
+    assert g.edges == frozenset({(0, 1), (1, 3), (2, 3)})
+    assert g.neighbor_masks == (0b0010, 0b1001, 0b1000, 0b0110)
 
 
 class TestModel:

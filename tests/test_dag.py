@@ -1,6 +1,7 @@
 """DAG construction, both d-separation deciders, and DAG enumeration."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -103,6 +104,21 @@ class TestClosures:
             d = random_dag(rng, 5)
             for w in range(5):
                 assert d.descendants(w) == descendants_by_relation(d, w)
+
+    @pytest.mark.parametrize(
+        "call, mask",
+        [
+            ("ancestral_closure", 1 << 7),
+            ("ancestral_closure", -1),
+            ("moralized_ancestral_graph", 1 << 5),
+            ("moralized_ancestral_graph", -2),
+        ],
+    )
+    def test_mask_outside_the_universe_rejected(self, call, mask):
+        # Not an IndexError from the parent-mask table.
+        message = f"mask {mask:#x} has bits outside the 3-label universe"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(collider(), call)(mask)
 
 
 class TestDSeparates:

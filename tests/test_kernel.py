@@ -166,6 +166,21 @@ class TestDisjointnessMessage:
                 decide(0b011, 0b010, 0b100)
             assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "a, c, b",
+        [(0b1000, 0, 0b001), (0b001, 0b10000, 0), (0, 0b100, 1 << 9), (-1, 0, 0), (0, 0, -4), (-2, 0, 1)],
+    )
+    def test_one_message_for_masks_outside_the_universe(self, a, c, b):
+        u = universe_of_size(3)
+        dag = Dag(u, frozenset({(0, 1), (2, 1)}))
+        graph = UndirectedGraph(u, frozenset({(0, 1)}))
+        with pytest.raises(ValueError) as expected:
+            u.check_mask(a | c | b)
+        for decide in (graph.separates, dag.d_separates, dag.d_separates_moral):
+            with pytest.raises(ValueError) as raised:
+                decide(a, c, b)
+            assert str(raised.value) == str(expected.value)
+
 
 def never_called(a, c):
     raise AssertionError("enumerated past the gate")

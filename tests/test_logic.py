@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 
 import pytest
 
@@ -361,6 +362,29 @@ class TestPrinter:
     def test_term_roundtrip(self):
         t = Complement(Union_(Var("X1"), Intersection(EMPTY, Var("X2"))))
         assert t == parse_formula(f"I({format_term(t)}, empty, empty)").t1
+
+    @pytest.mark.parametrize("name", ["empty", "1X", "X 1", "", "a|b", "X-1", "_x"])
+    def test_name_that_would_not_reparse_rejected(self, name):
+        # "empty" would come back as Empty(); the others do not parse at all.
+        atom = Atom(Var(name), Var("X"), Var("Y"))
+        message = f"^variable name {re.escape(repr(name))} does not print as an identifier$"
+        with pytest.raises(ValueError, match=message):
+            format_formula(atom)
+        with pytest.raises(ValueError, match=message):
+            format_term(Union_(Var("X"), Var(name)))
+        # The evaluators take any name.
+        m = IndependencyModel(Universe(("a", "b")), frozenset({Triple(0b01, 0, 0b10)}))
+        assert model_satisfies(m, atom) is False
+        assert term_variables(Var(name)) == {name}
+
+    def test_name_that_is_no_string_rejected(self):
+        with pytest.raises(ValueError, match="^variable name 3 does not print as an identifier$"):
+            format_term(Var(3))
+
+    @pytest.mark.parametrize("name", ["X", "I", "empty1", "Empty", "x2y", "\u00e9t\u00e9", "X\u00b2"])
+    def test_identifier_names_reparse(self, name):
+        atom = Atom(Var(name), EMPTY, Var("Y"))
+        assert parse_formula(format_formula(atom)) == atom
 
 
 class TestEvalTerm:

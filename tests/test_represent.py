@@ -208,7 +208,7 @@ class TestSkeletonPrunedScan:
 
     def test_skeleton_is_the_always_dependent_pairs(self):
         rng = random.Random(43)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             u = universe_of_size(n)
             for _ in range(10):
                 m = random_model(rng, u, p=rng.uniform(0.05, 0.5))
