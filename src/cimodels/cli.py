@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import formats
 from .core import Universe
-from .dag import enumerate_dags
+from .dag import acyclic_arc_masks, enumerate_dags
 from .logic import ValuationBudgetError, entails, model_satisfies, parse_formula
 from .represent import check_semigraphoid, is_causal, is_graph_isomorph
 from .repro import verify_counterexample
@@ -159,7 +159,7 @@ def _formula_text(arg: str) -> str:
         if exc.errno != errno.ENAMETOOLONG:
             raise
         is_file = False  # too long to be a file name, so it is formula text
-    return path.read_text() if is_file else arg
+    return formats.read_text(path) if is_file else arg
 
 
 def _run_formula(args: argparse.Namespace) -> int:
@@ -180,7 +180,7 @@ def _run_enum(args: argparse.Namespace) -> int:
         raise ValueError(f"--n cannot be negative, got {args.n}")
     universe = Universe(tuple(str(i) for i in range(args.n)))
     if args.count:
-        print(sum(1 for _ in enumerate_dags(universe)))
+        print(len(acyclic_arc_masks(args.n)))
         return 0
     for dag in enumerate_dags(universe):
         arcs = " ".join(f"{u}->{v}" for u, v in sorted(dag.arcs))
@@ -214,6 +214,8 @@ def main(argv: list[str] | None = None) -> int:
         "repro": _run_repro,
     }
     try:
+        if [] in vars(args).values():  # argparse before 3.13 reads '--query=--' as []
+            raise ValueError("an option's value cannot be '--'")
         return handlers[args.command](args)
     except (ValueError, ValuationBudgetError, OSError) as exc:
         # FormatError and FormulaSyntaxError are ValueErrors.

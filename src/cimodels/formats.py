@@ -58,7 +58,7 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
         yield lineno, stripped
 
 
-def _check_label(label: str, *, source: str | None, line: int | None) -> None:
+def _check_label(label: str) -> None:
     bad = (
         label == "-"
         or "--" in label
@@ -66,13 +66,13 @@ def _check_label(label: str, *, source: str | None, line: int | None) -> None:
         or any(ch in _RESERVED_IN_LABELS or ch.isspace() for ch in label)
     )
     if bad:
-        raise FormatError(f"label {label!r} is reserved or malformed", source=source, line=line)
+        raise FormatError(f"label {label!r} is reserved or malformed")
 
 
 def _vars_line(universe: Universe) -> str:
     """The ``vars:`` header of ``universe``; labels a file could not hold raise."""
     for label in universe.names:
-        _check_label(label, source=None, line=None)
+        _check_label(label)
     return "vars: " + " ".join(universe.names)
 
 
@@ -81,18 +81,18 @@ def _parse_header(lines: Iterator[tuple[int, str]], *, source: str | None) -> Un
         lineno, content = next(lines)
     except StopIteration:
         raise FormatError("missing 'vars:' header", source=source) from None
-    if not content.startswith("vars:"):
-        raise FormatError("first line must be a 'vars:' header", source=source, line=lineno)
-    labels = content[len("vars:"):].split()
-    for label in labels:
-        _check_label(label, source=source, line=lineno)
     try:
+        if not content.startswith("vars:"):
+            raise ValueError("first line must be a 'vars:' header")
+        labels = content[len("vars:"):].split()
+        for label in labels:
+            _check_label(label)
         return Universe(tuple(labels))
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=lineno) from None
 
 
-def parse_set(universe: Universe, text: str, *, source: str | None = None, line: int | None = None) -> int:
+def parse_set(universe: Universe, text: str) -> int:
     """A set written as comma-separated labels; ``-`` or empty text is the empty set."""
     text = text.strip()
     if text in ("", "-"):
@@ -100,7 +100,7 @@ def parse_set(universe: Universe, text: str, *, source: str | None = None, line:
     try:
         return universe.mask_of(label.strip() for label in text.split(","))
     except ValueError as exc:
-        raise FormatError(str(exc), source=source, line=line) from None
+        raise FormatError(str(exc)) from None
 
 
 def format_set(universe: Universe, mask: int) -> str:
@@ -108,30 +108,27 @@ def format_set(universe: Universe, mask: int) -> str:
     return ",".join(labels) if labels else "-"
 
 
-def parse_triple(universe: Universe, text: str, *, source: str | None = None, line: int | None = None) -> Triple:
+def parse_triple(universe: Universe, text: str) -> Triple:
     """A triple written ``<set> | <set> | <set>``."""
-    return Triple(*_parse_sets(universe, text, {}, source=source, line=line))
+    try:
+        return Triple(*_parse_sets(universe, text, {}))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
-def _parse_sets(
-    universe: Universe, text: str, masks: dict[str, int], *, source: str | None, line: int | None
-) -> tuple[int, int, int]:
-    """The three disjoint masks of a triple's text; set texts are memoised in ``masks``."""
+def _parse_sets(universe: Universe, text: str, masks: dict[str, int]) -> tuple[int, int, int]:
+    """The three disjoint masks of a triple's text; set texts are memoised in
+    ``masks``. Raises ``ValueError`` without a location: the caller adds it."""
     parts = text.split("|")
     if len(parts) != 3:
-        raise FormatError(
-            f"expected '<set> | <set> | <set>', found {text!r}", source=source, line=line
-        )
+        raise ValueError(f"expected '<set> | <set> | <set>', found {text!r}")
     sets = []
     for part in parts:
         mask = masks.get(part)
         if mask is None:
-            mask = masks[part] = parse_set(universe, part, source=source, line=line)
+            mask = masks[part] = parse_set(universe, part)
         sets.append(mask)
-    try:
-        check_disjoint(*sets)
-    except ValueError as exc:
-        raise FormatError(str(exc), source=source, line=line) from None
+    check_disjoint(*sets)
     return tuple(sets)
 
 
@@ -156,19 +153,18 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     n = universe.n
     masks: dict[str, int] = {}
     keys: set[int] = set()
-    for lineno, content in lines:
-        if not content.startswith("I ") and content != "I":
-            raise FormatError(
-                f"expected 'I <set> | <set> | <set>', found {content!r}",
-                source=source,
-                line=lineno,
-            )
-        a, c, b = _parse_sets(universe, content[1:], masks, source=source, line=lineno)
-        size = len(keys)
-        keys.add(pack_key(n, a, c, b))
-        if len(keys) == size:
-            triple = format_triple(universe, Triple(a, c, b))
-            raise FormatError(f"duplicate triple 'I {triple}'", source=source, line=lineno)
+    try:  # around the loop, not in it: one location for every line's error
+        for lineno, content in lines:
+            if not content.startswith("I ") and content != "I":
+                raise ValueError(f"expected 'I <set> | <set> | <set>', found {content!r}")
+            a, c, b = _parse_sets(universe, content[1:], masks)
+            size = len(keys)
+            keys.add(pack_key(n, a, c, b))
+            if len(keys) == size:
+                triple = format_triple(universe, Triple(a, c, b))
+                raise ValueError(f"duplicate triple 'I {triple}'")
+    except ValueError as exc:
+        raise FormatError(str(exc), source=source, line=lineno) from None
     return IndependencyModel._from_keys(universe, keys)
 
 
@@ -198,30 +194,26 @@ def _parse_pair_lines(
     universe = _parse_header(lines, source=source)
     pairs: set[tuple[int, int]] = set()
     duplicate = None
-    for lineno, content in lines:
-        parts = content.split(separator)
-        if len(parts) != 2:
-            raise FormatError(
-                f"expected '<label> {separator} <label>', found {content!r}",
-                source=source,
-                line=lineno,
-            )
-        try:
+    try:  # around the loop, not in it: one location for every line's error
+        for lineno, content in lines:
+            parts = content.split(separator)
+            if len(parts) != 2:
+                raise ValueError(f"expected '<label> {separator} <label>', found {content!r}")
             u = universe.index(parts[0].strip())
             v = universe.index(parts[1].strip())
-        except ValueError as exc:
-            raise FormatError(str(exc), source=source, line=lineno) from None
-        if u == v:
-            raise FormatError(f"self-loop at {parts[0].strip()!r}", source=source, line=lineno)
-        pair = (v, u) if separator == "--" and v < u else (u, v)
-        if pair in pairs and duplicate is None:
-            kind = "edge" if separator == "--" else "arc"
-            duplicate = FormatError(
-                f"duplicate {kind} {universe.names[u]} {separator} {universe.names[v]}",
-                source=source,
-                line=lineno,
-            )
-        pairs.add(pair)
+            if u == v:
+                raise ValueError(f"self-loop at {parts[0].strip()!r}")
+            pair = (v, u) if separator == "--" and v < u else (u, v)
+            if pair in pairs and duplicate is None:
+                kind = "edge" if separator == "--" else "arc"
+                duplicate = FormatError(
+                    f"duplicate {kind} {universe.names[u]} {separator} {universe.names[v]}",
+                    source=source,
+                    line=lineno,
+                )
+            pairs.add(pair)
+    except ValueError as exc:
+        raise FormatError(str(exc), source=source, line=lineno) from None
     if duplicate is not None:
         raise duplicate
     return universe, pairs
@@ -255,16 +247,21 @@ def format_dag(dag: Dag) -> str:
     return _format_pairs(dag.universe, dag.arcs, "->")
 
 
+def read_text(path: str | Path) -> str:
+    """The text of the file at ``path``; undecodable bytes raise ``FormatError`` naming it."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise FormatError(str(exc), source=str(Path(path))) from None
+
+
 def load_model(path: str | Path) -> IndependencyModel:
-    path = Path(path)
-    return parse_model(path.read_text(), source=str(path))
+    return parse_model(read_text(path), source=str(Path(path)))
 
 
 def load_graph(path: str | Path) -> UndirectedGraph:
-    path = Path(path)
-    return parse_graph(path.read_text(), source=str(path))
+    return parse_graph(read_text(path), source=str(Path(path)))
 
 
 def load_dag(path: str | Path) -> Dag:
-    path = Path(path)
-    return parse_dag(path.read_text(), source=str(path))
+    return parse_dag(read_text(path), source=str(Path(path)))

@@ -452,12 +452,13 @@ def term_variables(term: Term) -> set[str]:
 
 
 def formula_variables(formula: Formula) -> tuple[str, ...]:
-    """Sorted names of the variables occurring in the formula."""
-    return _variables(atoms_of(formula))
+    """Sorted names of the variables occurring in the formula (see ``_sorted_names``)."""
+    return _sorted_names(set().union(*map(_check_depth, atoms_of(formula))))
 
 
-def _variables(atoms: Sequence[Atom]) -> tuple[str, ...]:
-    return tuple(sorted(set().union(*map(_check_depth, atoms))))
+def _sorted_names(names: set[str]) -> tuple[str, ...]:
+    """Names by type name, then by name: ``Var(3)`` beside ``Var("X")`` sorts too."""
+    return tuple(sorted(names, key=lambda name: (type(name).__qualname__, name)))
 
 
 # Valuations and satisfaction
@@ -611,9 +612,8 @@ def model_satisfies(
     not, times the atoms, although only the valid ones are enumerated.
     Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
-    _check_depth(formula)
+    names = _sorted_names(_check_depth(formula))
     atoms = atoms_of(formula)
-    names = _variables(atoms)
     _check_budget(model.universe, len(names), len(atoms), budget)
     digits = _allowed_digits(atoms, names)
     # columns[i]: each allowed pattern's per-atom key contributions at element i.

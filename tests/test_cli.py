@@ -2,11 +2,15 @@
 
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from cimodels.cli import main
+import cimodels
+from cimodels.cli import entry, main
 from cimodels.formats import parse_model
 
 DAG_TEXT = """\
@@ -230,6 +234,13 @@ class TestEnum:
     def test_gate(self, capsys):
         assert main(["enum", "dags", "--n", "6", "--count"]) == 2
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_count_matches_listing(self, capsys, n):
+        assert main(["enum", "dags", "--n", str(n), "--count"]) == 0
+        count = int(capsys.readouterr().out)
+        assert main(["enum", "dags", "--n", str(n)]) == 0
+        assert count == len(capsys.readouterr().out.splitlines())
+
 
 class TestRepro:
     def test_text_report(self, capsys):
@@ -276,6 +287,77 @@ class TestDiagnostics:
 
     def test_unknown_label_in_query(self, dag_file, capsys):
         assert main(["dag", "dsep", "--dag", dag_file, "--A", "9", "--C", "", "--B", "3"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["model", "check", "--class", "semigraphoid", "--model"],
+            ["formula", "eval", "--formula", "I(X, Y, Z)", "--model"],
+            ["graph", "model", "--graph"],
+            ["dag", "model", "--dag"],
+        ],
+    )
+    def test_undecodable_file_named(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"vars: a b\nI a | - | \xff\n")
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_undecodable_formula_file_named(self, model_file, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"I(X, Y, \xff)")
+        assert main(["formula", "eval", "--model", model_file, "--formula", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+        assert captured.err == f"error: {path}: {message}\n"
+
+
+    def test_double_dash_formula_value(self, model_file, capsys):
+        # argparse from 3.13 reads the text '--'; earlier ones leave [] behind.
+        assert main(["formula", "eval", "--model", model_file, "--formula=--"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err in (
+            "error: an option's value cannot be '--'\n",
+            "error: unexpected character '-' (at offset 1)\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enum", "dags", "--n=--"],
+            ["model", "check", "--model", "m.txt", "--class=--"],
+            ["formula", "entails", "--family=--", "--given", "m.txt", "--query", "a | - | b"],
+        ],
+    )
+    def test_double_dash_typed_value(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse from 3.13 rejects '--' itself
+            code = exc.code
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestEntryPoints:
+    def test_entry_exits_with_the_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cimodels", "enum", "dags", "--n", "3", "--count"])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == "25\n"
+
+    def test_module_run(self):
+        src = str(Path(cimodels.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = [sys.executable, "-m", "cimodels.cli", "enum", "dags", "--n", "6", "--count"]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: refusing to enumerate DAGs on 6 > 5 nodes\n"
 
 
 def library_error(call, *args):

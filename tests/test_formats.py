@@ -1,5 +1,6 @@
 """Text format round-trips and diagnostics."""
 
+import inspect
 import random
 
 import pytest
@@ -13,6 +14,9 @@ from cimodels.formats import (
     format_model,
     format_set,
     format_triple,
+    load_dag,
+    load_graph,
+    load_model,
     parse_dag,
     parse_graph,
     parse_model,
@@ -73,6 +77,25 @@ class TestSets:
     def test_triple_disjointness_checked(self):
         with pytest.raises(FormatError):
             parse_triple(Universe(("a", "b")), "a | a | b")
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_set, "a,z", "unknown label 'z'"),
+            (parse_triple, "a | -", "expected '<set> | <set> | <set>', found 'a | -'"),
+            (parse_triple, "a | a | b", "triple sets must be pairwise disjoint: 0x1, 0x1, 0x2"),
+            (parse_triple, "a | - | z", "unknown label 'z'"),
+        ],
+    )
+    def test_errors_carry_no_location(self, parse, text, message):
+        with pytest.raises(FormatError) as err:
+            parse(Universe(("a", "b")), text)
+        assert str(err.value) == message
+        assert (err.value.source, err.value.line) == (None, None)
+
+    @pytest.mark.parametrize("parse", [parse_set, parse_triple])
+    def test_takes_universe_and_text_only(self, parse):
+        assert list(inspect.signature(parse).parameters) == ["universe", "text"]
 
 
 class TestModelFormat:
@@ -182,6 +205,61 @@ class TestModelCodecErrors:
                 assert format_model(again) == text
 
 
+SEVENTEEN = " ".join(f"v{i}" for i in range(17))
+
+
+class TestHeaderErrors:
+    """The header reader locates its own faults, the same for every file kind."""
+
+    @pytest.mark.parametrize("parse", [parse_model, parse_graph, parse_dag])
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("", None, "missing 'vars:' header"),
+            ("# only a comment\n\n  \n", None, "missing 'vars:' header"),
+            ("vars:\n", 1, "universe must have between 1 and 16 labels, got 0"),
+            ("vars: a a\n", 1, "labels must be pairwise distinct"),
+            (f"vars: {SEVENTEEN}\n", 1, "universe must have between 1 and 16 labels, got 17"),
+            ("# c\n\nI a | - | b\n", 3, "first line must be a 'vars:' header"),
+            ("\nvars: a - b\n", 2, "label '-' is reserved or malformed"),
+            ("vars: a a->b\n", 1, "label 'a->b' is reserved or malformed"),
+        ],
+    )
+    def test_header_fault(self, parse, text, line, message):
+        with pytest.raises(FormatError) as err:
+            parse(text, source="m.txt")
+        where = "m.txt:" if line is None else f"m.txt:{line}:"
+        assert str(err.value) == f"{where} {message}"
+        assert (err.value.source, err.value.line) == ("m.txt", line)
+
+    def test_without_a_source(self):
+        with pytest.raises(FormatError) as err:
+            parse_model("vars: a a\n")
+        assert str(err.value) == "1: labels must be pairwise distinct"
+        with pytest.raises(FormatError) as err:
+            parse_model("")
+        assert str(err.value) == "missing 'vars:' header"
+
+
+class TestLoad:
+    @pytest.mark.parametrize("load", [load_model, load_graph, load_dag])
+    def test_undecodable_file_names_the_file(self, tmp_path, load):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"vars: a b\n\xff\n")
+        with pytest.raises(FormatError) as err:
+            load(path)
+        message = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        assert str(err.value) == f"{path}: {message}"
+        assert (err.value.source, err.value.line) == (str(path), None)
+
+    def test_located_error_names_the_path_given(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("vars: a b\nI a | - | z\n")
+        with pytest.raises(FormatError) as err:
+            load_model(str(path))
+        assert str(err.value) == f"{path}:2: unknown label 'z'"
+
+
 class TestGraphFormat:
     def test_parse(self):
         g = parse_graph(GRAPH_TEXT)
@@ -219,6 +297,12 @@ class TestDagFormat:
     def test_duplicate_arc_rejected(self):
         with pytest.raises(FormatError, match="^d.txt:3: duplicate arc a -> b$") as err:
             parse_dag("vars: a b\na -> b\na -> b\n", source="d.txt")
+        assert err.value.line == 3
+
+    def test_first_duplicate_keeps_its_line(self):
+        text = "vars: a b c\na -> b\na -> b\nb -> c\nb -> c\n# end\n"
+        with pytest.raises(FormatError, match="^d.txt:3: duplicate arc a -> b$") as err:
+            parse_dag(text, source="d.txt")
         assert err.value.line == 3
 
     def test_unknown_label_with_position(self):

@@ -119,6 +119,12 @@ class TestParser:
         with pytest.raises(FormulaSyntaxError):
             parse_formula("empty")
 
+    def test_missing_comma_between_terms(self):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula("I(X1 X2, X3)")
+        assert str(err.value) == "expected ',', found 'X2' (at offset 6)"
+        assert err.value.position == 6
+
 
 ATOM = "I(X1, X2, X3)"
 
@@ -433,6 +439,13 @@ class TestValidValuation:
         v = Valuation(m.universe, {"X1": 0b001, "X2": 0b001, "X3": 0b100})
         assert not is_valid_valuation(v, atom, m)
 
+    def test_universe_mismatch_rejected(self):
+        m = singleton_model()
+        v = Valuation(Universe(("x", "y", "z")), {"X1": 0b001})
+        with pytest.raises(ValueError) as err:
+            is_valid_valuation(v, parse_formula("I(X1, X1, X1)"), m)
+        assert str(err.value) == "valuation universe does not match the model universe"
+
     def test_validity_monotone_in_subformulas(self):
         rng = random.Random(7)
         m = random_model(rng, universe_of_size(3), p=0.3)
@@ -486,6 +499,22 @@ class TestSatisfies:
 
 
 class TestModelSatisfies:
+    def test_mixed_type_names(self):
+        # Names sort by type name, then by name: ints before strings.
+        atom = Atom(Var(3), Var("X"), Var("Y"))
+        assert formula_variables(atom) == (3, "X", "Y")
+        m = IndependencyModel(universe_of_size(2), frozenset({Triple(0b01, 0, 0b10)}))
+        assert model_satisfies(m, atom) is False
+        assert check_clause(m, Clause((), (atom,))) is False
+        # Renaming the variables, here to strings alone, keeps every answer.
+        u = universe_of_size(2)
+        for seed in range(40):
+            model = random_model(random.Random(seed), u, p=0.4)
+            mixed = random_formula(random.Random(seed), [3, "X", 1], depth=2)
+            plain = random_formula(random.Random(seed), ["Z", "X", "W"], depth=2)
+            expected = model_satisfies_bruteforce(model, plain)
+            assert model_satisfies(model, mixed) == model_satisfies(model, plain) == expected
+
     def test_symmetry_holds_in_induced_models(self):
         f = parse_formula(SYMMETRY)
         for n in (2, 3):

@@ -1,11 +1,19 @@
 """Property tests on random triple sets over 1-5 labels, symmetric and not:
 ``check_semigraphoid`` returns exactly ``oracles.check_semigraphoid_reference``'s
-list, and a model survives ``format_model`` then ``parse_model``.
+list, and a model survives ``format_model`` then ``parse_model``. Random files
+and formula text through the CLI end with an answer or one located diagnostic.
 """
+
+import io
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimodels.cli import main
 from cimodels.core import IndependencyModel
 from cimodels.formats import format_model, parse_model
 from cimodels.represent import check_semigraphoid
@@ -29,3 +37,124 @@ def random_models(draw):
 def test_random_models_check_and_round_trip(model):
     assert check_semigraphoid(model) == check_semigraphoid_reference(model)
     assert parse_model(format_model(model)) == model
+
+
+# Random model, graph and DAG files, and random formula text, through the CLI:
+# every run ends with an answer (exit 0 or 1) or with exit 2, no output and one
+# diagnostic line naming the file, and the line when there is one.
+
+HEADERS = [
+    "vars: a b c",
+    "vars: a b c d e",
+    "vars: a",
+    "vars: é b c",
+    "vars:",
+    "vars: a a",
+    "vars: a - b",
+    "vars: a|b c",
+    "vars: x->y",
+    "vars: a--b",
+    "vars: a,b",
+    "vars: a #b",
+    "VARS: a b",
+]
+BODY_LINES = [
+    # model lines: good, overlapping, wrong arity, unknown label, malformed
+    "I a | - | b",
+    "I b | - | a",
+    "I a | c | b",
+    "I a,b | c | d,e",
+    "I - | - | -",
+    "I é | - | b",
+    "I a | a | b",
+    "I a | -",
+    "I a | - | b | c",
+    "I z | - | a",
+    "I",
+    "J a | - | b",
+    # graph lines: duplicates both ways, self-loops, unknown labels
+    "a -- b",
+    "b -- a",
+    "a -- a",
+    "c -- d",
+    "a -- z",
+    "a -- b -- c",
+    "é -- c",
+    # DAG lines: reversed arcs, cycles, self-loops
+    "a -> b",
+    "b -> a",
+    "b -> c",
+    "c -> a",
+    "a -> a",
+    "z -> a",
+    "a -> b -> c",
+    # ignored lines
+    "# a comment",
+    "",
+    "   ",
+]
+COMMANDS = [
+    ["model", "check", "--class", "semigraphoid", "--model"],
+    ["graph", "model", "--graph"],
+    ["dag", "model", "--dag"],
+]
+
+
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def file_bytes(draw):
+    """A file's bytes: a header or none, then lines from every file kind,
+    sometimes with an undecodable byte."""
+    lines = [draw(st.sampled_from(HEADERS))] if draw(st.integers(0, 9)) else []
+    lines = draw(st.lists(st.sampled_from(["# lead", ""]), max_size=2)) + lines
+    lines += draw(st.lists(st.sampled_from(BODY_LINES), max_size=8))
+    data = "\n".join(lines).encode() + draw(st.sampled_from([b"", b"\n"]))
+    if draw(st.integers(0, 9)) == 0:
+        data += b"I a | - | \xff\n"
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(file_bytes(), st.sampled_from(COMMANDS))
+def test_random_files_answer_or_locate_the_error(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.txt"
+        path.write_bytes(data)
+        code, out, err = run_cli([*command, str(path)])
+    if code in (0, 1):
+        assert err == ""
+        return
+    assert code == 2 and out == ""
+    match = re.fullmatch(rf"error: {re.escape(str(path))}:(?:(\d+):)? [^\n]+\n", err)
+    assert match is not None, err
+    if match[1] is not None:
+        assert 1 <= int(match[1]) <= len(data.splitlines())
+
+
+FORMULA_TOKENS = [
+    "I(", "(", ")", ",", "X1", "X2", "Y", "empty", "~", "+", "*", "!", "&", "|",
+    "->", "-", " ", "é", "3", "#", "I",
+]
+
+
+TOKEN_TEXT = st.lists(st.sampled_from(FORMULA_TOKENS), max_size=14).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(TOKEN_TEXT, st.text(max_size=20)))
+def test_random_formula_text_answers_or_fails_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_text("vars: a\nI a | - | -\n")
+        code, out, err = run_cli(["formula", "eval", "--model", str(path), f"--formula={text}"])
+    if code in (0, 1):
+        assert err == "" and out in ("SATISFIED\n", "NOT SATISFIED\n")
+        return
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
