@@ -169,12 +169,17 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     """Yield, once each, the keys of the disjoint triples a separation oracle separates.
 
     ``reach(a, c)`` is the set of nodes reachable from a nonempty ``a`` along
-    paths that ``c`` leaves open. ``(a, c, b)`` is separated exactly when
-    ``b`` misses that set, and vacuously when ``a`` or ``b`` is empty, so
-    ``reach`` runs once per ``(a, c)`` and every submask of what it leaves
-    free is a separated ``b``. The empty ``a`` comes last: its triples are in
-    every induced model, so an early-exit comparison learns nothing from
-    them. Gated at ``MAX_TRIPLE_ENUM_NODES`` labels.
+    paths that ``c`` leaves open, and must be the union of ``reach({i}, c)``
+    over the members ``i`` of ``a``, as any search from a set of start states
+    is. ``(a, c, b)`` is separated exactly when ``b`` misses that set, and
+    vacuously when ``a`` or ``b`` is empty, so every submask of what the
+    reach leaves free is a separated ``b``. ``reach`` runs only on singletons,
+    ``n * 2**(n-1)`` times: ``a`` ascends, so the reach of a larger ``a`` is
+    the union of two rows already tabled, its lowest member's and the rest's.
+    The table grows with the keys yielded, to one int per ``(a, c)`` pair
+    (``3**n`` in all). The empty ``a`` comes last: its triples are in every
+    induced model, so an early-exit comparison learns nothing from them.
+    Gated at ``MAX_TRIPLE_ENUM_NODES`` labels.
     """
     if universe.n > MAX_TRIPLE_ENUM_NODES:
         raise ValueError(
@@ -182,12 +187,15 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
             f"{MAX_TRIPLE_ENUM_NODES} labels"
         )
     full, n = universe.full_mask, universe.n
+    rows: list[dict[int, int]] = [{} for _ in range(full + 1)]  # rows[a][c]: reach(a, c)
     for a in (*range(1, full + 1), 0):
-        rest = full & ~a
+        rest, row, low = full & ~a, rows[a], a & -a
+        upper, lower = rows[a ^ low], rows[low]
         for c in submasks(rest):
             free = rest & ~c
             if a:
-                free &= ~reach(a, c)
+                row[c] = reached = reach(a, c) if a == low else upper[c] | lower[c]
+                free &= ~reached
             head = a << 2 * n | c << n  # pack_key inlined: a call here cost 5 % of causal-scan
             for b in submasks(free):
                 yield head | b

@@ -35,12 +35,21 @@ class Dag:
         arcs = frozenset(self.arcs)
         object.__setattr__(self, "arcs", arcs)
         _check_pairs(self.universe, arcs, "arc")
-        kids = self.child_masks
-        cyclic = sum(1 << i for i in range(n) if reachable_mask(kids, kids[i], 0) >> i & 1)
-        if cyclic:
-            # Listed: the nodes on a cycle and every node that reaches one.
-            stuck = reachable_mask(self.parent_masks, cyclic, 0)
-            raise ValueError(f"arcs contain a directed cycle among nodes {list(bits_of(stuck))}")
+        # Fills the ``child_masks`` cache directly, skipping the property's first-access cost.
+        kids = vars(self)["child_masks"] = _out_masks(n, arcs)
+        # Peel sinks until a pass peels none: a peeled node stays peelable, so
+        # each pass rechecks every node. What is left is the nodes on a cycle
+        # and every node that reaches one.
+        left = (1 << n) - 1
+        while left:
+            last = left
+            for i, k in enumerate(kids):
+                if not k & left:
+                    left &= ~(1 << i)
+            if left == last:
+                break
+        if left:
+            raise ValueError(f"arcs contain a directed cycle among nodes {list(bits_of(left))}")
 
     @cached_property
     def child_masks(self) -> tuple[int, ...]:

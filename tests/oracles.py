@@ -309,6 +309,26 @@ def nodes_left_by_peeling(n: int, arcs) -> set[int]:
     return remaining
 
 
+def separated_keys_reference(universe: Universe, reach) -> list[int]:
+    """The kernel's keys in its order, calling ``reach`` once per ``(a, c)``
+    pair with ``a`` nonempty: ``a`` ascending with the empty ``a`` last, then
+    ``c`` and ``b`` over descending subsets."""
+    n, full = universe.n, universe.full_mask
+
+    def descending_subsets(mask: int) -> list[int]:
+        return [s for s in range(mask, -1, -1) if not s & ~mask]
+
+    keys = []
+    for a in [*range(1, full + 1), 0]:
+        rest = full & ~a
+        for c in descending_subsets(rest):
+            free = rest & ~c
+            if a:
+                free &= ~reach(a, c)
+            keys += [a << 2 * n | c << n | b for b in descending_subsets(free)]
+    return keys
+
+
 def entails_by_paths(family: str, given, query: Triple, universe: Universe) -> bool:
     """Entailment in the ``causal`` or ``graph-isomorph`` family: try every
     DAG or graph on the universe, deciding each triple by path enumeration."""

@@ -1,9 +1,11 @@
 """The induced-model kernel: ``separated_keys`` checked against the
-path-enumeration oracles, its submask helper, and the triple-enumeration gate.
-The kernel yields packed keys; the tests decode them with ``unpack_keys``.
+path-enumeration oracles and the per-pair reference loop, its ``reach`` call
+count, its submask helper, and the triple-enumeration gate. The kernel yields
+packed keys; the tests decode them with ``unpack_keys``.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -24,6 +26,7 @@ from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reacha
 from oracles import (
     d_separates_by_paths,
     dependent_always_by_triples,
+    separated_keys_reference,
     separates_by_paths,
     universe_of_size,
 )
@@ -99,6 +102,60 @@ class TestKernelAgainstOracles:
         kept = list(separated_triples(u, lambda a, c: a))
         assert len(kept) == 4**5
         assert set(kept) == set(enumerate_disjoint_triples(u))
+
+
+def structure_reaches(n):
+    """``(name, universe, reach)`` for seeded random DAGs and graphs on ``n``
+    nodes, the edgeless and complete ones, and the bare ``lambda a, c: a``."""
+    u = universe_of_size(n)
+    rng = random.Random(100 + n)
+    complete = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+    dags = [random_dag(rng, n) for _ in range(3)] + [Dag(u, frozenset()), Dag(u, complete)]
+    graphs = [random_graph(rng, n) for _ in range(3)]
+    graphs += [UndirectedGraph(u, frozenset()), UndirectedGraph(u, complete)]
+    for d in dags:
+        yield f"dag {sorted(d.arcs)}", u, d._active_reach
+    for g in graphs:
+        yield f"graph {sorted(g.edges)}", u, partial(reachable_mask, g.neighbor_masks)
+    yield "reach a", u, lambda a, c: a
+
+
+def counted(reach):
+    """``reach`` wrapped to record the ``a`` of every call."""
+    seen = []
+
+    def wrapper(a, c):
+        seen.append(a)
+        return reach(a, c)
+
+    return wrapper, seen
+
+
+class TestKernelOrderAndWork:
+    """Building a set's reach from its members' keeps the per-pair key order
+    and calls ``reach`` only on singletons."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_keys_in_the_same_order_as_one_call_per_pair(self, n):
+        for name, u, reach in structure_reaches(n):
+            assert list(separated_keys(u, reach)) == separated_keys_reference(u, reach), name
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_one_call_per_singleton_and_conditioning_set(self, n):
+        for name, u, reach in structure_reaches(n):
+            wrapper, seen = counted(reach)
+            for _ in separated_keys(u, wrapper):
+                pass
+            assert len(seen) == n * 2 ** (n - 1), name
+            assert all(a & (a - 1) == 0 and a for a in seen), name
+
+    @pytest.mark.parametrize("n, calls", [(5, 80), (10, 5120)])
+    def test_calls_on_the_edgeless_graph(self, n, calls):
+        u = universe_of_size(n)
+        edgeless = UndirectedGraph(u, frozenset())
+        wrapper, seen = counted(partial(reachable_mask, edgeless.neighbor_masks))
+        assert sum(1 for _ in separated_keys(u, wrapper)) == 4**n
+        assert len(seen) == calls
 
 
 class TestComparisons:
@@ -191,10 +248,12 @@ class TestTripleGate:
         assert MAX_TRIPLE_ENUM_NODES >= 8
 
     def test_enumerates_at_the_gate(self):
-        # Lazy: only the first (a, c) pair is looked at.
+        # Lazy: only the first (a, c) pair is looked at, with one reach call.
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES)
-        keys = separated_keys(u, lambda a, c: a)
+        wrapper, seen = counted(lambda a, c: a)
+        keys = separated_keys(u, wrapper)
         assert isinstance(Triple(*next(unpack_keys(u.n, keys))), Triple)
+        assert seen == [1]
 
     def test_raises_past_the_gate_without_enumerating(self):
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
