@@ -176,10 +176,10 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     reach leaves free is a separated ``b``. ``reach`` runs only on singletons,
     ``n * 2**(n-1)`` times: ``a`` ascends, so the reach of a larger ``a`` is
     the union of two rows already tabled, its lowest member's and the rest's.
-    The table grows with the keys yielded, to one int per ``(a, c)`` pair
-    (``3**n`` in all). The empty ``a`` comes last: its triples are in every
-    induced model, so an early-exit comparison learns nothing from them.
-    Gated at ``MAX_TRIPLE_ENUM_NODES`` labels.
+    The table grows with the keys yielded; no rest holds label 0, so the row
+    of an ``a`` holding label 0 and more is dropped after its ``c`` loop. The
+    empty ``a`` comes last: every induced model holds its triples, so they
+    tell an early-exit comparison nothing. Gated at ``MAX_TRIPLE_ENUM_NODES``.
     """
     if universe.n > MAX_TRIPLE_ENUM_NODES:
         raise ValueError(
@@ -189,7 +189,8 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     full, n = universe.full_mask, universe.n
     rows: list[dict[int, int]] = [{} for _ in range(full + 1)]  # rows[a][c]: reach(a, c)
     for a in (*range(1, full + 1), 0):
-        rest, row, low = full & ~a, rows[a], a & -a
+        rest, low = full & ~a, a & -a
+        row = {} if a & 1 and a != low else rows[a]
         upper, lower = rows[a ^ low], rows[low]
         for c in submasks(rest):
             free = rest & ~c

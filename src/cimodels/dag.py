@@ -1,9 +1,9 @@
 """Directed acyclic graphs, d-separation, and induced models.
 
-Two independent d-separation deciders are provided: a reachability search
-over (node, entry-direction) states, and an oracle that reduces the query to
-plain separation in a moralized ancestral graph. They are checked against
-each other exhaustively in the test suite.
+Two independent d-separation deciders are provided: one reachability closure
+over a fixed table of ``3n`` walk states (see ``Dag._active_reach``), and an
+oracle that reduces the query to plain separation in a moralized ancestral
+graph. They are checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ class Dag:
     """A directed acyclic graph over a universe; arcs are ordered index pairs.
 
     Acyclicity is checked at construction; a cyclic arc set raises
-    ``ValueError``.
+    ``ValueError``. It also sets the attribute ``child_masks`` (each node's
+    children as a mask), which ``==``, ``hash`` and ``repr`` ignore.
     """
 
     universe: Universe
@@ -35,7 +36,6 @@ class Dag:
         arcs = frozenset(self.arcs)
         object.__setattr__(self, "arcs", arcs)
         _check_pairs(self.universe, arcs, "arc")
-        # Fills the ``child_masks`` cache directly, skipping the property's first-access cost.
         kids = vars(self)["child_masks"] = _out_masks(n, arcs)
         # Peel sinks until a pass peels none: a peeled node stays peelable, so
         # each pass rechecks every node. What is left is the nodes on a cycle
@@ -52,12 +52,8 @@ class Dag:
             raise ValueError(f"arcs contain a directed cycle among nodes {list(bits_of(left))}")
 
     @cached_property
-    def child_masks(self) -> tuple[int, ...]:
-        return _out_masks(self.universe.n, self.arcs)
-
-    @cached_property
     def parent_masks(self) -> tuple[int, ...]:
-        return _out_masks(self.universe.n, [(v, u) for u, v in self.arcs])
+        return self._walk_steps[2 * self.universe.n :]  # the bounce states step to the parents
 
     def descendants(self, w: int) -> int:
         """Strict descendants of ``w``: nodes reachable along arcs, excluding ``w``."""
@@ -83,38 +79,40 @@ class Dag:
         ``w`` and ``w`` is in ``c``. Separation holds iff every path is
         blocked somewhere; it holds vacuously when ``a`` or ``b`` is empty.
 
-        Decided by a breadth-first search over (node, entry-direction)
-        states, which finds an active walk iff an active path exists. The
-        three masks must be pairwise disjoint.
+        Decided by one reachability closure over ``3n`` walk states (see
+        ``_active_reach``), which finds an active walk iff an active path
+        exists. The three masks must be pairwise disjoint.
         """
         return separated(self.universe, self._active_reach, a, c, b)
 
+    @cached_property
+    def _walk_steps(self) -> tuple[int, ...]:
+        """Per state of ``_active_reach``'s walk, the states it steps to."""
+        n = self.universe.n
+        steps = [k << n | k << 2 * n for k in self.child_masks] * 2 + [0] * n
+        for u, v in self.arcs:
+            steps[v] |= 1 << u
+            steps[2 * n + v] |= 1 << u
+        return tuple(steps)
+
     def _active_reach(self, a: int, c: int) -> int:
-        """Nodes reachable from ``a`` along a trail that ``c`` leaves active."""
-        parents = self.parent_masks
-        children = self.child_masks
-        # Nodes that are in c or have a descendant in c: exactly the states
-        # where a converging connection stays open.
-        opened = reachable_mask(parents, c, 0)
-        out_seen = a  # entered by an arc leaving the node (or trail start)
-        in_seen = 0  # entered by an arc pointing at the node
-        frontier_out, frontier_in = a, 0
-        while frontier_out or frontier_in:
-            next_out = next_in = 0
-            for i in bits_of(frontier_out):
-                if not (c >> i) & 1:
-                    next_out |= parents[i]
-                    next_in |= children[i]
-            for i in bits_of(frontier_in):
-                if (opened >> i) & 1:
-                    next_out |= parents[i]
-                if not (c >> i) & 1:
-                    next_in |= children[i]
-            frontier_out = next_out & ~out_seen
-            out_seen |= frontier_out
-            frontier_in = next_in & ~in_seen
-            in_seen |= frontier_in
-        return out_seen | in_seen
+        """Nodes reachable from ``a`` along a trail that ``c`` leaves active.
+
+        One ``reachable_mask`` closure over ``3n`` states: ``i`` is node ``i``
+        entered from a child or a trail start, and steps to its parents and
+        children; ``n + i`` is ``i`` entered from a parent, and steps to its
+        children; ``2n + i`` is ``i`` entered from a parent when in ``c``, and
+        bounces back to its parents. ``c`` removes the first two states of its
+        nodes and the bounce of the others. So a walk passes a collider only
+        in ``c`` and a non-collider only outside it, and a collider with a
+        descendant in ``c`` is passed by walking down to it and back. Like any
+        closure, the result is the union over ``a``'s members. It may hold
+        nodes of ``c``: the kernel's free set and ``separated``'s ``b`` miss them.
+        """
+        n, full = self.universe.n, self.universe.full_mask
+        removed = c | c << n | (full & ~c) << 2 * n
+        seen = reachable_mask(self._walk_steps, a, removed)
+        return (seen | seen >> n | seen >> 2 * n) & full
 
     def d_separates_moral(self, a: int, c: int, b: int) -> bool:
         """Oracle decider: separation in the moralized ancestral graph.

@@ -1,5 +1,7 @@
 """DAG construction, both d-separation deciders, and DAG enumeration."""
 
+import dataclasses
+import pickle
 import random
 import re
 from itertools import combinations
@@ -85,6 +87,23 @@ class TestDagInvariants:
         assert d.child_masks == (0b010, 0, 0b010)
         assert d.parent_masks == (0, 0b101, 0)
 
+    def test_child_masks_is_no_field(self):
+        # Set at construction only; equality, hashing, repr and pickling see
+        # the universe and the arcs alone, before and after the lazy tables.
+        d = collider()
+        same = Dag(d.universe, {(2, 1), (0, 1)})
+        assert [f.name for f in dataclasses.fields(Dag)] == ["universe", "arcs"]
+        assert d == same and hash(d) == hash(same)
+        assert repr(d) == f"Dag(universe={d.universe!r}, arcs={d.arcs!r})"
+        assert d.parent_masks == (0, 0b101, 0)  # fills the lazy walk table
+        assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
+        for dag in (d, same):
+            loaded = pickle.loads(pickle.dumps(dag))
+            assert loaded == dag and hash(loaded) == hash(dag) and repr(loaded) == repr(dag)
+            assert loaded.child_masks == (0b010, 0, 0b010)
+            assert not loaded.d_separates(0b001, 0b010, 0b100)
+        assert dataclasses.replace(d, arcs={(1, 0)}).child_masks == (0, 0b001, 0)
+
 
 class TestClosures:
     def test_chain_descendants(self):
@@ -139,6 +158,16 @@ class TestDSeparates:
         assert not d.d_separates(0b0001, 0b1000, 0b0010)
         assert not d.d_separates(0b0001, 0b0100, 0b0010)
 
+    def test_collider_opened_by_a_grandchild(self):
+        # 0 -> 2 <- 1, 2 -> 3 -> 4: the collider's only conditioned
+        # descendant is two arcs down, which no 4-node DAG can show.
+        d = Dag(universe_of_size(5), frozenset({(0, 2), (1, 2), (2, 3), (3, 4)}))
+        assert d.d_separates(0b00001, 0, 0b00010)
+        assert not d.d_separates(0b00001, 0b10000, 0b00010)
+        assert Triple(0b00001, 0b10000, 0b00010) not in d.dsep_model()
+        assert not d_separates_by_paths(d, 0b00001, 0b10000, 0b00010)
+        assert d.d_separates(0b00100, 0b01000, 0b10000)  # a conditioned non-collider blocks
+
     def test_counterexample_queries(self):
         d = counterexample_dag()
         one, two, three, four = 0b00010, 0b00100, 0b01000, 0b10000
@@ -168,6 +197,23 @@ class TestDSeparates:
         for t in enumerate_disjoint_triples(d.universe):
             if rng.random() < 0.25:
                 assert d.d_separates(t.a, t.c, t.b) == d_separates_by_paths(d, t.a, t.c, t.b)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_sweep_against_both_oracles(self, n):
+        # Every disjoint triple of DAGs at densities from sparse to dense,
+        # through the query and the induced model, against the moral oracle;
+        # a sample against the path oracle.
+        rng = random.Random(1200 + n)
+        triples = list(enumerate_disjoint_triples(universe_of_size(n)))
+        for p in (0.2, 0.4, 0.6, 0.8):
+            for _ in range(3):
+                d = random_dag(rng, n, p)
+                model = d.dsep_model()
+                for t in triples:
+                    held = d.d_separates(t.a, t.c, t.b)
+                    assert held == (t in model) == d.d_separates_moral(t.a, t.c, t.b), t
+                    if rng.random() < 0.02:
+                        assert held == d_separates_by_paths(d, t.a, t.c, t.b), t
 
     def test_moral_oracle_agrees_small(self):
         for n in (2, 3):

@@ -1,24 +1,46 @@
 """Property tests on random triple sets over 1-5 labels, symmetric and not:
 ``check_semigraphoid`` returns exactly ``oracles.check_semigraphoid_reference``'s
-list, and a model survives ``format_model`` then ``parse_model``. Random files
-and formula text through the CLI end with an answer or one located diagnostic.
+list, and a model survives ``format_model`` then ``parse_model``. Random
+formulas and terms, nested up to ``MAX_FORMULA_DEPTH``, survive
+``format_formula`` then ``parse_formula``. Random files and formula text
+through the CLI end with an answer or one located diagnostic.
 """
 
 import io
+import random
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings, target
 from hypothesis import strategies as st
 
 from cimodels.cli import main
 from cimodels.core import IndependencyModel
 from cimodels.formats import format_model, parse_model
+from cimodels.logic import (
+    MAX_FORMULA_DEPTH,
+    And,
+    Atom,
+    Complement,
+    Intersection,
+    Not,
+    Or,
+    Union_,
+    format_formula,
+    implies,
+    parse_formula,
+)
 from cimodels.represent import check_semigraphoid
 
-from oracles import all_triples, check_semigraphoid_reference, universe_of_size
+from oracles import (
+    all_triples,
+    check_semigraphoid_reference,
+    random_formula,
+    random_term,
+    universe_of_size,
+)
 
 
 @st.composite
@@ -37,6 +59,66 @@ def random_models(draw):
 def test_random_models_check_and_round_trip(model):
     assert check_semigraphoid(model) == check_semigraphoid_reference(model)
     assert parse_model(format_model(model)) == model
+
+
+# print then parse, on formulas and terms nested up to the depth gate: a random
+# formula or term from the oracles' generators is wrapped in a chain of up to
+# MAX_FORMULA_DEPTH operators, each joined with another small random piece.
+
+NAMES = ["X1", "X2", "X3"]
+FORMULA_WRAPS = [
+    lambda f, g: Not(f),
+    lambda f, g: And(f, g),
+    lambda f, g: And(g, f),
+    lambda f, g: Or(f, g),
+    lambda f, g: Or(g, f),
+    lambda f, g: implies(f, g),
+    lambda f, g: implies(g, f),
+]
+TERM_WRAPS = [
+    lambda t, u: Complement(t),
+    lambda t, u: Union_(t, u),
+    lambda t, u: Union_(u, t),
+    lambda t, u: Intersection(t, u),
+    lambda t, u: Intersection(u, t),
+]
+
+
+@st.composite
+def deep_formulas(draw):
+    """A formula whose deepest path runs through a chain of ``levels``
+    operators, around a random formula (or an atom holding a random term
+    with such a chain); returns the formula and ``levels``."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    levels = draw(st.integers(0, MAX_FORMULA_DEPTH))
+    if draw(st.booleans()):
+        term = random_term(rng, NAMES, depth=2)
+        for _ in range(levels):
+            term = rng.choice(TERM_WRAPS)(term, random_term(rng, NAMES, depth=1))
+        pieces = [term, random_term(rng, NAMES, 1), random_term(rng, NAMES, 1)]
+        rng.shuffle(pieces)
+        return Atom(*pieces), levels
+    formula = random_formula(rng, NAMES, depth=3)
+    for _ in range(levels):
+        formula = rng.choice(FORMULA_WRAPS)(formula, random_formula(rng, NAMES, depth=1))
+    return formula, levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(deep_formulas())
+def test_print_then_parse_is_the_identity(drawn):
+    formula, levels = drawn
+    try:
+        text = format_formula(formula)
+    except ValueError as exc:
+        # The printer refuses only text that would nest past the parser's gate,
+        # and a level adds at most an operator and a pair of parentheses.
+        assert f"nested deeper than {MAX_FORMULA_DEPTH} levels" in str(exc)
+        assert levels > MAX_FORMULA_DEPTH // 3
+        reject()
+    target(float(levels))
+    assert parse_formula(text) == formula
+    assert format_formula(parse_formula(text)) == text
 
 
 # Random model, graph and DAG files, and random formula text, through the CLI:
