@@ -22,6 +22,8 @@ MAX_TRIPLE_ENUM_NODES = 10
 
 def bits_of(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of bits")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -30,6 +32,8 @@ def bits_of(mask: int) -> Iterator[int]:
 
 def submasks(mask: int) -> Iterator[int]:
     """Yield every subset of ``mask``, from ``mask`` itself down to 0."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask} has no finite set of subsets")
     sub = mask
     while True:
         yield sub

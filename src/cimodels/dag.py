@@ -3,17 +3,27 @@
 Two independent d-separation deciders are provided: one reachability closure
 over a fixed table of ``3n`` walk states (see ``Dag._active_reach``), and an
 oracle that reduces the query to plain separation in a moralized ancestral
-graph. They are checked against each other in the test suite.
+graph, checked against each other in the test suite. DAG tables come from
+node orders: arcs are acyclic iff some order of the nodes runs them all forward.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Iterator
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
-from .core import IndependencyModel, Universe, bits_of, check_disjoint, separated, separated_keys
+from .core import (
+    IndependencyModel,
+    Universe,
+    bits_of,
+    check_disjoint,
+    separated,
+    separated_keys,
+    submasks,
+)
 from .ugraph import UndirectedGraph, _check_pairs, _out_masks, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
@@ -165,58 +175,58 @@ def arc_bit(n: int, u: int, v: int) -> int:
     return u * (n - 1) + v - (v > u)
 
 
-def _acyclic_arc_masks(n: int) -> Iterator[int]:
-    """Arc bitmasks of all DAGs on ``n`` nodes, in ascending numeric order.
+@lru_cache(maxsize=None)
+def _forward_arc_masks(n: int) -> tuple[int, ...]:
+    """Per ordering of the ``n`` nodes, the mask of the arcs it runs forward.
 
-    Depth-first over bit positions from the most significant down, taking the
-    0-branch first, so masks come out in counting order. A branch that sets a
-    cycle-closing arc is pruned wholesale: supersets of a cyclic arc set stay
-    cyclic. ``reach[w]`` is the set of nodes ``w`` reaches along chosen arcs.
+    The DAGs on ``n`` nodes are the submasks of these ``n!`` masks. This is
+    the one DAG-enumeration gate, and it raises before any order is made.
     """
-    pairs = _arc_bit_layout(n)
-    stack = [(len(pairs) - 1, 0, (0,) * n)]
-    while stack:
-        bit, mask, reach = stack.pop()
-        if bit < 0:
-            yield mask
-            continue
-        u, v = pairs[bit]
-        if not (reach[v] >> u) & 1:  # else v already reaches u: u -> v closes a cycle
-            added = reach[v] | (1 << v)
-            grown = tuple(
-                r | added if w == u or (r >> u) & 1 else r for w, r in enumerate(reach)
-            )
-            stack.append((bit - 1, mask | (1 << bit), grown))
-        stack.append((bit - 1, mask, reach))  # popped first: the 0-branch
+    if n > MAX_DAG_ENUM_NODES:
+        raise ValueError(f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes")
+    return tuple(
+        sum(1 << arc_bit(n, u, v) for u, v in combinations(order, 2))
+        for order in permutations(range(n))
+    )
 
 
 @lru_cache(maxsize=None)
 def acyclic_arc_masks(n: int) -> tuple[int, ...]:
-    """Arc bitmasks of all DAGs on ``n`` nodes, ascending; built once per ``n``.
+    """Arc masks of all DAGs on ``n`` nodes, ascending; built once per ``n``.
 
-    The table is keyed by the node count alone, so universes that differ only
-    in their labels share it. Index ``k`` holds the arc mask of the
-    ``(k + 1)``-th DAG that ``enumerate_dags`` yields, so a bisect into the
-    table decides whether an arc mask is acyclic and finds its position in
-    enumeration order. Gated at ``MAX_DAG_ENUM_NODES`` nodes.
+    Every submask of a ``_forward_arc_masks`` entry, once. Index ``k`` holds
+    the ``(k + 1)``-th DAG of ``enumerate_dags`` on any ``n``-label universe,
+    so a bisect finds an acyclic mask's place in that order.
     """
-    if n > MAX_DAG_ENUM_NODES:
-        raise ValueError(f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes")
-    return tuple(_acyclic_arc_masks(n))
+    return tuple(sorted({s for f in _forward_arc_masks(n) for s in submasks(f)}))
+
+
+def acyclic_orientations(
+    universe: Universe, edges: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, Dag]]:
+    """Yield ``(position, dag)`` for every acyclic orientation of ``edges``.
+
+    Each is a node order's forward arcs cut down to the edges, and every
+    acyclic one is cut so from a topological order. They come ascending by
+    arc mask; ``position`` is the 1-based place in ``enumerate_dags`` order.
+    """
+    edges = list(edges)
+    _check_pairs(universe, edges, "edge")
+    n, table = universe.n, acyclic_arc_masks(universe.n)
+    both = sum({1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges})
+    for mask in sorted({f & both for f in _forward_arc_masks(n)}):
+        yield bisect_left(table, mask) + 1, dag_of_mask(universe, mask)
 
 
 def dag_of_mask(universe: Universe, mask: int) -> Dag:
     """The DAG whose arcs are the set bits of ``mask`` (see ``arc_bit``)."""
     pairs = _arc_bit_layout(universe.n)
+    if not 0 <= mask < 1 << len(pairs):
+        raise ValueError(f"arc mask {mask} outside the {universe.n}-label arc range")
     return Dag(universe, frozenset(pairs[k] for k in bits_of(mask)))
 
 
 def enumerate_dags(universe: Universe) -> Iterator[Dag]:
-    """Yield every labeled DAG on the universe exactly once.
-
-    Order is ascending by arc bitmask, where bit ``k`` encodes the ``k``-th
-    ordered pair of the lexicographic (i, j), i != j list. Gated at
-    ``MAX_DAG_ENUM_NODES`` nodes.
-    """
+    """Yield every labeled DAG on the universe once, in ``acyclic_arc_masks`` order."""
     for mask in acyclic_arc_masks(universe.n):
         yield dag_of_mask(universe, mask)

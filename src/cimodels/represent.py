@@ -4,7 +4,6 @@ plus the semi-graphoid closure check.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,7 +16,7 @@ from .core import (
     submasks,
     unpack_keys,
 )
-from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, arc_bit, dag_of_mask
+from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, acyclic_orientations
 from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -120,30 +119,16 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
     Only the orientations of one skeleton are compared: a DAG's model leaves
     two nodes dependent under every conditioning set exactly when they are
     adjacent, so every DAG inducing ``model`` joins exactly the pairs that
-    ``dependent_always`` reports. The orientations are tried in ascending
-    arc-mask order, which is enumeration order, so the first match is the
-    first witness of a scan over all DAGs. A bisect into the per-``n`` table
-    of acyclic arc masks skips the cyclic orientations and gives the
-    position.
+    ``dependent_always`` reports. Their ``acyclic_orientations`` come in
+    enumeration order, so the first match is the first witness of a full scan.
     """
-    u = model.universe
-    n = u.n
+    n = model.universe.n
     if n > MAX_DAG_ENUM_NODES:
-        raise ValueError(
-            f"causal check needs DAG enumeration, gated at {MAX_DAG_ENUM_NODES} nodes"
-        )
-    table = acyclic_arc_masks(n)
-    orientations = [0]
-    for i, j in _skeleton_edges(model):
-        forward, backward = 1 << arc_bit(n, i, j), 1 << arc_bit(n, j, i)
-        orientations = [m | arc for m in orientations for arc in (forward, backward)]
-    for mask in sorted(orientations):
-        pos = bisect_left(table, mask)
-        if pos < len(table) and table[pos] == mask:
-            dag = dag_of_mask(u, mask)
-            if _dag_induces(dag, model):
-                return dag, pos + 1
-    return None, len(table)
+        raise ValueError(f"causal check needs DAG enumeration, gated at {MAX_DAG_ENUM_NODES} nodes")
+    for pos, dag in acyclic_orientations(model.universe, _skeleton_edges(model)):
+        if _dag_induces(dag, model):
+            return dag, pos
+    return None, len(acyclic_arc_masks(n))
 
 
 def is_causal(model: IndependencyModel) -> RepresentabilityResult:

@@ -9,6 +9,7 @@ assignment of sets to their variables. Slow but obviously right.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from itertools import product
 from math import comb
 
@@ -292,6 +293,23 @@ def acyclic_arc_masks_bruteforce(n: int) -> list[int]:
         if not nodes_left_by_peeling(n, arcs):
             result.append(mask)
     return result
+
+
+def acyclic_orientations_by_product(n: int, edges, table) -> list[tuple[int, int]]:
+    """``(1-based position in table, arc mask)`` of each acyclic orientation of
+    ``edges``, ascending: all ``2^|E|`` orientations are built, and a bisect
+    into ``table``, the ascending arc masks of all DAGs, drops the cyclic ones."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    orientations = [0]
+    for i, j in edges:
+        forward, backward = 1 << pairs.index((i, j)), 1 << pairs.index((j, i))
+        orientations = [m | arc for m in orientations for arc in (forward, backward)]
+    found = []
+    for mask in sorted(orientations):
+        pos = bisect_left(table, mask)
+        if pos < len(table) and table[pos] == mask:
+            found.append((pos + 1, mask))
+    return found
 
 
 def nodes_left_by_peeling(n: int, arcs) -> set[int]:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import islice
 
 import pytest
 
@@ -69,6 +70,12 @@ class TestUniverse:
 def test_bits_of():
     assert list(bits_of(0b10110)) == [1, 2, 4]
     assert list(bits_of(0)) == []
+
+
+def test_bits_of_rejects_a_negative_mask():
+    # Two's complement gives -1 infinitely many set bits.
+    with pytest.raises(ValueError, match="negative mask -1"):
+        list(islice(bits_of(-1), 5))
 
 
 class TestTriple:

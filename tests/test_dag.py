@@ -12,13 +12,17 @@ from cimodels.core import Triple, Universe, enumerate_disjoint_triples
 from cimodels.dag import (
     MAX_DAG_ENUM_NODES,
     Dag,
+    _forward_arc_masks,
     acyclic_arc_masks,
+    acyclic_orientations,
     arc_bit,
+    dag_of_mask,
     enumerate_dags,
 )
 
 from oracles import (
     acyclic_arc_masks_bruteforce,
+    acyclic_orientations_by_product,
     d_separates_by_paths,
     dag_count,
     descendants_by_relation,
@@ -347,7 +351,72 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             acyclic_arc_masks(MAX_DAG_ENUM_NODES + 1)
 
+    def test_five_node_table_is_every_dag(self):
+        # Ascending, acyclic and as long as the DAG count: exactly all DAGs,
+        # without testing all 2^20 arc masks.
+        table = acyclic_arc_masks(5)
+        assert all(x < y for x, y in zip(table, table[1:]))
+        pairs = [(i, j) for i in range(5) for j in range(5) if j != i]
+        for mask in table:
+            arcs = [p for k, p in enumerate(pairs) if (mask >> k) & 1]
+            assert not nodes_left_by_peeling(5, arcs)
+        assert len(table) == dag_count(5)
+
+    @pytest.mark.parametrize("n", [MAX_DAG_ENUM_NODES + 1, 16])
+    def test_gate_raises_before_any_node_order(self, n):
+        # At 16 nodes a gate checked after the 16! orders would never return.
+        message = f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes"
+        for build in (
+            lambda: _forward_arc_masks(n),
+            lambda: acyclic_arc_masks(n),
+            lambda: next(acyclic_orientations(universe_of_size(n), [(0, 1)])),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()
+
     def test_arc_bit_follows_pair_layout(self):
         for n in (2, 3, 5):
             pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
             assert [arc_bit(n, u, v) for u, v in pairs] == list(range(len(pairs)))
+
+    @pytest.mark.parametrize("mask", [1 << 2, 1 << 5, -1])
+    def test_dag_of_mask_rejects_a_mask_outside_the_arc_range(self, mask):
+        with pytest.raises(ValueError, match=f"arc mask {mask} outside the 2-label"):
+            dag_of_mask(universe_of_size(2), mask)
+
+
+class TestAcyclicOrientations:
+    """Cut from node orders, the orientations match the 2^|E| product of both
+    directions per edge with the cyclic ones dropped, masks and positions."""
+
+    @staticmethod
+    def cut(n, edges):
+        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+        return [
+            (pos, sum(1 << pairs.index(arc) for arc in dag.arcs))
+            for pos, dag in acyclic_orientations(universe_of_size(n), edges)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_skeleton_up_to_four_nodes(self, n):
+        table = acyclic_arc_masks_bruteforce(n)
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for k, p in enumerate(pairs) if (mask >> k) & 1]
+            assert self.cut(n, edges) == acyclic_orientations_by_product(n, edges, table)
+
+    def test_seeded_five_node_skeletons_and_k5(self):
+        table = acyclic_arc_masks(5)
+        pairs = list(combinations(range(5), 2))
+        rng = random.Random(13)
+        skeletons = [pairs, []] + [[p for p in pairs if rng.random() < 0.5] for _ in range(40)]
+        for edges in skeletons:
+            assert self.cut(5, edges) == acyclic_orientations_by_product(5, edges, table)
+        assert len(self.cut(5, pairs)) == 120
+
+    def test_edges_are_checked(self):
+        u = universe_of_size(3)
+        with pytest.raises(ValueError, match="self-loop at node 1"):
+            next(acyclic_orientations(u, [(1, 1)]))
+        with pytest.raises(ValueError, match=re.escape("edge (0, 3) outside the 3-label")):
+            next(acyclic_orientations(u, iter([(0, 1), (0, 3)])))

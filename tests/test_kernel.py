@@ -65,6 +65,10 @@ class TestSubmasks:
         expected = [s for s in range(mask, -1, -1) if not s & ~mask]
         assert list(submasks(mask)) == expected
 
+    def test_rejects_a_negative_mask(self):
+        with pytest.raises(ValueError, match="negative mask -3"):
+            next(submasks(-3))
+
 
 class TestKernelAgainstOracles:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
