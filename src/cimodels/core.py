@@ -154,8 +154,20 @@ def key_places(n: int) -> list[tuple[int, int, int, int]]:
     return [(0, pack_key(n, x, 0, 0), pack_key(n, 0, x, 0), pack_key(n, 0, 0, x)) for x in bits]
 
 
+def _check_triple_gate(n: int) -> None:
+    """Raise unless the ``4**n`` triples of ``n`` labels may be enumerated."""
+    if n > MAX_TRIPLE_ENUM_NODES:
+        raise ValueError(
+            f"refusing to enumerate the 4**{n} triples of {n} > {MAX_TRIPLE_ENUM_NODES} labels"
+        )
+
+
 def disjoint_keys(n: int) -> Iterator[int]:
-    """The keys of the ``4**n`` disjoint triples, in ``enumerate_disjoint_triples`` order."""
+    """The keys of the ``4**n`` disjoint triples, in ``enumerate_disjoint_triples`` order.
+
+    Gated at ``MAX_TRIPLE_ENUM_NODES`` when called, before any key is made.
+    """
+    _check_triple_gate(n)
     return map(sum, product(*reversed(key_places(n))))
 
 
@@ -185,11 +197,7 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     empty ``a`` comes last: every induced model holds its triples, so they
     tell an early-exit comparison nothing. Gated at ``MAX_TRIPLE_ENUM_NODES``.
     """
-    if universe.n > MAX_TRIPLE_ENUM_NODES:
-        raise ValueError(
-            f"refusing to enumerate the 4**{universe.n} triples of {universe.n} > "
-            f"{MAX_TRIPLE_ENUM_NODES} labels"
-        )
+    _check_triple_gate(universe.n)
     full, n = universe.full_mask, universe.n
     rows: list[dict[int, int]] = [{} for _ in range(full + 1)]  # rows[a][c]: reach(a, c)
     for a in (*range(1, full + 1), 0):

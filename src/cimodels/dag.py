@@ -182,6 +182,8 @@ def _forward_arc_masks(n: int) -> tuple[int, ...]:
     The DAGs on ``n`` nodes are the submasks of these ``n!`` masks. This is
     the one DAG-enumeration gate, and it raises before any order is made.
     """
+    if n < 0:
+        raise ValueError(f"no DAGs on a negative number of nodes, got {n}")
     if n > MAX_DAG_ENUM_NODES:
         raise ValueError(f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes")
     return tuple(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .core import IndependencyModel, Universe, bits_of, separated, separated_keys
@@ -84,34 +85,22 @@ class UndirectedGraph:
     def marginal_graph(self, v_mask: int) -> "UndirectedGraph":
         """Collapse this graph onto the nodes of ``v_mask``.
 
-        Two kept nodes are joined iff the original graph has a path between
-        them whose internal nodes all lie outside ``v_mask``. The result lives
-        on the sub-universe of ``v_mask`` with recompacted indices, so its
+        Two kept nodes are joined iff the other kept nodes do not separate
+        them: some path between them has all its internal nodes outside
+        ``v_mask``. One closure per kept pair decides it. The result lives on
+        the sub-universe of ``v_mask`` with recompacted indices, so its
         separation model is directly comparable with a restricted model.
         """
         self.universe.check_mask(v_mask)
         if v_mask == 0:
             raise ValueError("cannot marginalize onto the empty set of variables")
-        nbrs = self.neighbor_masks
-        outside = self.universe.full_mask & ~v_mask
-        kept_nodes = list(bits_of(v_mask))
-        new_index = {old: new for new, old in enumerate(kept_nodes)}
-        edges = set()
-        for old_u in kept_nodes:
-            # Ends adjacent to old_u directly, or via a walk through outside nodes.
-            through = reachable_mask(nbrs, nbrs[old_u] & outside, v_mask)
-            endpoints = nbrs[old_u]
-            for o in bits_of(through):
-                endpoints |= nbrs[o]
-            for old_v in bits_of(endpoints & v_mask):
-                if old_v != old_u:
-                    edges.add((new_index[old_u], new_index[old_v]))
-        return UndirectedGraph(self.universe.subuniverse(v_mask), frozenset(edges))
-
-
-def _pair_bit_layout(n: int) -> list[tuple[int, int]]:
-    """Unordered pairs (i, j), i < j, in lexicographic order; pair k is bit k."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        nbrs, kept = self.neighbor_masks, list(bits_of(v_mask))
+        edges = frozenset(
+            (i, j)
+            for (i, u), (j, v) in combinations(enumerate(kept), 2)
+            if reachable_mask(nbrs, 1 << u, v_mask & ~(1 << u | 1 << v)) & 1 << v
+        )
+        return UndirectedGraph(self.universe.subuniverse(v_mask), edges)
 
 
 def enumerate_undirected_graphs(universe: Universe) -> Iterator[UndirectedGraph]:
@@ -126,7 +115,7 @@ def enumerate_undirected_graphs(universe: Universe) -> Iterator[UndirectedGraph]
         raise ValueError(
             f"refusing to enumerate graphs on {n} > {MAX_GRAPH_ENUM_NODES} nodes"
         )
-    pairs = _pair_bit_layout(n)
+    pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         edges = frozenset(pairs[k] for k in bits_of(mask))
         yield UndirectedGraph(universe, edges)

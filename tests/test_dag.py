@@ -362,15 +362,17 @@ class TestEnumeration:
             assert not nodes_left_by_peeling(5, arcs)
         assert len(table) == dag_count(5)
 
-    @pytest.mark.parametrize("n", [MAX_DAG_ENUM_NODES + 1, 16])
+    @pytest.mark.parametrize("n", [MAX_DAG_ENUM_NODES + 1, 16, -1, -2])
     def test_gate_raises_before_any_node_order(self, n):
-        # At 16 nodes a gate checked after the 16! orders would never return.
-        message = f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes"
-        for build in (
-            lambda: _forward_arc_masks(n),
-            lambda: acyclic_arc_masks(n),
-            lambda: next(acyclic_orientations(universe_of_size(n), [(0, 1)])),
-        ):
+        # At 16 nodes a gate checked after the 16! orders would never return;
+        # below 0, range(n) is empty and would give the one empty order.
+        builds = [lambda: _forward_arc_masks(n), lambda: acyclic_arc_masks(n)]
+        if n > 0:
+            message = f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes"
+            builds.append(lambda: next(acyclic_orientations(universe_of_size(n), [(0, 1)])))
+        else:
+            message = f"no DAGs on a negative number of nodes, got {n}"
+        for build in builds:
             with pytest.raises(ValueError, match=re.escape(message)):
                 build()
 

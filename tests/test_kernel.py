@@ -14,6 +14,7 @@ from cimodels.core import (
     MAX_TRIPLE_ENUM_NODES,
     IndependencyModel,
     Triple,
+    disjoint_keys,
     enumerate_disjoint_triples,
     separated_keys,
     submasks,
@@ -258,11 +259,18 @@ class TestTripleGate:
         keys = separated_keys(u, wrapper)
         assert isinstance(Triple(*next(unpack_keys(u.n, keys))), Triple)
         assert seen == [1]
+        assert next(disjoint_keys(u.n)) == 0
+        assert next(enumerate_disjoint_triples(u)) == Triple(0, 0, 0)
 
     def test_raises_past_the_gate_without_enumerating(self):
         u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
-        with pytest.raises(ValueError, match="refusing to enumerate"):
+        with pytest.raises(ValueError, match="refusing to enumerate") as raised:
             next(separated_keys(u, never_called))
+        # Both return lazy iterators, and raise when called, before any key is made.
+        for call in (lambda: disjoint_keys(u.n), lambda: enumerate_disjoint_triples(u)):
+            with pytest.raises(ValueError) as same:
+                call()
+            assert str(same.value) == str(raised.value)
         with pytest.raises(ValueError, match="refusing to enumerate"):
             UndirectedGraph(u, frozenset()).separation_model()
         with pytest.raises(ValueError, match="refusing to enumerate"):

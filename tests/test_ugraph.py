@@ -218,16 +218,23 @@ class TestMarginalGraph:
                 assert model_equals(lhs, rhs)
 
     def test_edges_match_path_enumeration_oracle(self):
+        # Every graph on <= 4 nodes with every nonempty mask, then seeded ones.
+        cases = [
+            (g, v_mask)
+            for n in (1, 2, 3, 4)
+            for g in enumerate_undirected_graphs(universe_of_size(n))
+            for v_mask in range(1, 1 << n)
+        ]
         rng = random.Random(47)
-        for n in (3, 4, 5):
-            u = universe_of_size(n)
+        for n in (3, 4, 5, 6):
             for _ in range(12):
                 g = random_graph(rng, n, p=rng.uniform(0.2, 0.7))
-                v_mask = rng.randrange(1, 1 << n)
-                marg = g.marginal_graph(v_mask)
-                old_index = list(bits_of(v_mask))
-                got = {(old_index[i], old_index[j]) for i, j in marg.edges}
-                assert got == marginal_edges_by_paths(g, v_mask)
+                cases.append((g, rng.randrange(1, 1 << n)))
+        for g, v_mask in cases:
+            marg = g.marginal_graph(v_mask)
+            old_index = list(bits_of(v_mask))
+            got = {(old_index[i], old_index[j]) for i, j in marg.edges}
+            assert got == marginal_edges_by_paths(g, v_mask)
 
 
 class TestEnumeration:
