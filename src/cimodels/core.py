@@ -104,7 +104,7 @@ class Universe:
         self.check_mask(mask)
         if mask == 0:
             raise ValueError("a universe needs at least one label")
-        return Universe(tuple(self.names[i] for i in bits_of(mask)))
+        return Universe(self.labels_of(mask))
 
 
 def check_disjoint(a: int, c: int, b: int) -> None:

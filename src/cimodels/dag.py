@@ -24,7 +24,7 @@ from .core import (
     separated_keys,
     submasks,
 )
-from .ugraph import UndirectedGraph, _check_pairs, _out_masks, reachable_mask
+from .ugraph import UndirectedGraph, _out_masks, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
 
@@ -45,8 +45,7 @@ class Dag:
         n = self.universe.n
         arcs = frozenset(self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        _check_pairs(self.universe, arcs, "arc")
-        kids = vars(self)["child_masks"] = _out_masks(n, arcs)
+        kids = vars(self)["child_masks"] = _out_masks(self.universe, arcs, "arc")
         # Peel sinks until a pass peels none: a peeled node stays peelable, so
         # each pass rechecks every node. What is left is the nodes on a cycle
         # and every node that reaches one.
@@ -167,7 +166,7 @@ class Dag:
 @lru_cache(maxsize=None)
 def _arc_bit_layout(n: int) -> tuple[tuple[int, int], ...]:
     """Ordered pairs (i, j), i != j, in lexicographic order; pair k is bit k."""
-    return tuple((i, j) for i in range(n) for j in range(n) if j != i)
+    return tuple(permutations(range(n), 2))
 
 
 def arc_bit(n: int, u: int, v: int) -> int:
@@ -212,10 +211,9 @@ def acyclic_orientations(
     acyclic one is cut so from a topological order. They come ascending by
     arc mask; ``position`` is the 1-based place in ``enumerate_dags`` order.
     """
-    edges = list(edges)
-    _check_pairs(universe, edges, "edge")
+    edges = UndirectedGraph(universe, edges).edges  # checks the skeleton as a graph
     n, table = universe.n, acyclic_arc_masks(universe.n)
-    both = sum({1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges})
+    both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges)
     for mask in sorted({f & both for f in _forward_arc_masks(n)}):
         yield bisect_left(table, mask) + 1, dag_of_mask(universe, mask)
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .core import IndependencyModel, Universe, bits_of, separated, separated_keys
@@ -17,51 +17,51 @@ def reachable_mask(neighbors: Sequence[int], start: int, removed: int) -> int:
 
     ``start`` nodes that are themselves removed do not seed the search.
     """
-    seen = start & ~removed
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for i in bits_of(frontier):
-            nxt |= neighbors[i]
-        frontier = nxt & ~seen & ~removed
-        seen |= frontier
+    seen = todo = start & ~removed
+    if todo < 0:
+        next(bits_of(todo))  # raises: a negative mask has no finite set of bits
+    while todo:
+        low = todo & -todo
+        new = neighbors[low.bit_length() - 1] & ~seen & ~removed
+        seen |= new
+        todo = (todo | new) ^ low
     return seen
 
 
-def _check_pairs(universe: Universe, pairs: Iterable[tuple[int, int]], kind: str) -> None:
-    """Raise on the first pair, in the order given, that is a loop or leaves ``universe``."""
+def _out_masks(universe: Universe, pairs: Iterable[tuple[int, int]], kind: str) -> tuple[int, ...]:
+    """Per node ``u``, the mask of the nodes ``v`` with ``(u, v)`` in ``pairs``.
+
+    Raises on the first pair, in the order given, that is a loop or leaves
+    ``universe``; ``kind`` names the pairs in the message.
+    """
     n = universe.n
+    masks = [0] * n
     for u, v in pairs:
         if u == v:
             raise ValueError(f"self-loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"{kind} ({u}, {v}) outside the {n}-label universe")
-
-
-def _out_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Per node ``u`` of ``n``, the mask of the nodes ``v`` with ``(u, v)`` in ``pairs``."""
-    masks = [0] * n
-    for u, v in pairs:
         masks[u] |= 1 << v
     return tuple(masks)
 
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """An undirected graph over a universe; edges are unordered index pairs."""
+    """An undirected graph over a universe; edges are unordered index pairs.
+
+    Construction also sets the attribute ``neighbor_masks`` (each node's
+    neighbours as a mask), which ``==``, ``hash`` and ``repr`` ignore.
+    """
 
     universe: Universe
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
         edges = tuple(self.edges)  # may be a one-shot iterator
-        _check_pairs(self.universe, edges, "edge")
+        both = chain(edges, ((v, u) for u, v in edges))  # the given pairs are checked first
+        vars(self)["neighbor_masks"] = _out_masks(self.universe, both, "edge")
         ordered = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
         object.__setattr__(self, "edges", ordered)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        return _out_masks(self.universe.n, self.edges | {(v, u) for u, v in self.edges})
 
     def has_edge(self, u: int, v: int) -> bool:
         self.universe.check_nodes(u, v)

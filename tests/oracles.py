@@ -72,6 +72,21 @@ def graph_adjacency(graph) -> dict[int, set[int]]:
     return adj
 
 
+def reachable_by_search(adjacency: dict[int, set[int]], start: int, removed: int) -> int:
+    """Nodes reached from ``start`` by a set-based search that skips ``removed``.
+
+    Removed start nodes are not reached; the answer is a mask, like the closure's.
+    """
+    gone = {i for i in adjacency if (removed >> i) & 1}
+    reached = {i for i in adjacency if (start >> i) & 1} - gone
+    stack = list(reached)
+    while stack:
+        for nxt in adjacency[stack.pop()] - gone - reached:
+            reached.add(nxt)
+            stack.append(nxt)
+    return sum(1 << i for i in reached)
+
+
 def separates_by_paths(graph, a: int, c: int, b: int) -> bool:
     """Path-enumeration separation: every path from a to b must meet c."""
     if a == 0 or b == 0:

@@ -21,7 +21,7 @@ from cimodels.core import (
 )
 from cimodels.dag import Dag, enumerate_dags
 from cimodels.represent import dependent_always
-from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs
+from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reachable_mask
 
 from oracles import random_model, universe_of_size
 
@@ -72,10 +72,13 @@ def test_bits_of():
     assert list(bits_of(0)) == []
 
 
-def test_bits_of_rejects_a_negative_mask():
+@pytest.mark.parametrize(
+    "call", [lambda: list(islice(bits_of(-1), 5)), lambda: reachable_mask([0], -1, 0)]
+)
+def test_bits_of_rejects_a_negative_mask(call):
     # Two's complement gives -1 infinitely many set bits.
     with pytest.raises(ValueError, match="negative mask -1"):
-        list(islice(bits_of(-1), 5))
+        call()
 
 
 class TestTriple:

@@ -12,6 +12,7 @@ from cimodels.core import Triple, Universe, enumerate_disjoint_triples
 from cimodels.dag import (
     MAX_DAG_ENUM_NODES,
     Dag,
+    _arc_bit_layout,
     _forward_arc_masks,
     acyclic_arc_masks,
     acyclic_orientations,
@@ -19,6 +20,7 @@ from cimodels.dag import (
     dag_of_mask,
     enumerate_dags,
 )
+from cimodels.ugraph import UndirectedGraph
 
 from oracles import (
     acyclic_arc_masks_bruteforce,
@@ -107,6 +109,15 @@ class TestDagInvariants:
             assert loaded.child_masks == (0b010, 0, 0b010)
             assert not loaded.d_separates(0b001, 0b010, 0b100)
         assert dataclasses.replace(d, arcs={(1, 0)}).child_masks == (0, 0b001, 0)
+        # A graph's neighbour masks are set the same way.
+        g = UndirectedGraph(d.universe, {(1, 0), (1, 2)})
+        flipped = UndirectedGraph(d.universe, {(0, 1), (2, 1)})
+        assert [f.name for f in dataclasses.fields(UndirectedGraph)] == ["universe", "edges"]
+        assert g == flipped and hash(g) == hash(flipped) and repr(g) == repr(flipped)
+        assert repr(g) == f"UndirectedGraph(universe={g.universe!r}, edges={g.edges!r})"
+        loaded = pickle.loads(pickle.dumps(g))
+        assert loaded == g and loaded.neighbor_masks == (0b010, 0b101, 0b010)
+        assert dataclasses.replace(g, edges={(2, 0)}).neighbor_masks == (0b100, 0, 0b001)
 
 
 class TestClosures:
@@ -377,9 +388,10 @@ class TestEnumeration:
                 build()
 
     def test_arc_bit_follows_pair_layout(self):
-        for n in (2, 3, 5):
+        for n in range(7):
             pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
             assert [arc_bit(n, u, v) for u, v in pairs] == list(range(len(pairs)))
+            assert _arc_bit_layout(n) == tuple(pairs)
 
     @pytest.mark.parametrize("mask", [1 << 2, 1 << 5, -1])
     def test_dag_of_mask_rejects_a_mask_outside_the_arc_range(self, mask):

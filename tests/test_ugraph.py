@@ -16,9 +16,16 @@ from cimodels.ugraph import (
     MAX_GRAPH_ENUM_NODES,
     UndirectedGraph,
     enumerate_undirected_graphs,
+    reachable_mask,
 )
 
-from oracles import marginal_edges_by_paths, separates_by_paths, universe_of_size
+from oracles import (
+    graph_adjacency,
+    marginal_edges_by_paths,
+    reachable_by_search,
+    separates_by_paths,
+    universe_of_size,
+)
 
 
 def path_graph(labels):
@@ -50,6 +57,30 @@ class TestGraphInvariants:
         g = UndirectedGraph(universe_of_size(3), frozenset({(2, 0), (0, 2)}))
         assert g.edges == frozenset({(0, 2)})
         assert g.has_edge(0, 2) and g.has_edge(2, 0)
+
+
+class TestReachableMask:
+    """The closure equals a set-based search, removed start nodes included."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_graph_start_and_removed_mask(self, n):
+        masks = range(1 << n)
+        for g in enumerate_undirected_graphs(universe_of_size(n)):
+            adj = graph_adjacency(g)
+            for start in masks:
+                for removed in masks:
+                    expected = reachable_by_search(adj, start, removed)
+                    assert reachable_mask(g.neighbor_masks, start, removed) == expected
+
+    def test_random_eight_node_graphs(self):
+        rng = random.Random(15)
+        for _ in range(20):
+            g = random_graph(rng, 8, p=0.3)
+            adj = graph_adjacency(g)
+            for _ in range(50):
+                start, removed = rng.randrange(256), rng.randrange(256)
+                expected = reachable_by_search(adj, start, removed)
+                assert reachable_mask(g.neighbor_masks, start, removed) == expected
 
 
 class TestSeparates:
