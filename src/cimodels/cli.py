@@ -10,6 +10,7 @@ import argparse
 import errno
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import formats
@@ -20,7 +21,10 @@ from .represent import check_semigraphoid, is_causal, is_graph_isomorph
 from .repro import verify_counterexample
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    leaves it as it was, and each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="cimodels",
         description="Separation and d-separation models, representability, and formula checks.",

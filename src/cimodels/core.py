@@ -72,10 +72,15 @@ class Universe:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each label's bit index, built on first use: the one label lookup."""
+        return {label: i for i, label in enumerate(self.names)}
+
     def index(self, label: str) -> int:
         try:
-            return self.names.index(label)
-        except ValueError:
+            return self._positions[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:

@@ -150,18 +150,6 @@ class Dag:
         keys = separated_keys(self.universe, self._active_reach)
         return IndependencyModel._from_keys(self.universe, keys)
 
-    def dag_pair_connected(self, alpha: int, beta: int) -> bool:
-        """True iff the two nodes are joined by an arc in either direction.
-
-        Equivalent to: no conditioning set d-separates the two nodes.
-        """
-        if alpha == beta:
-            raise ValueError("the two nodes must be distinct")
-        self.universe.check_nodes(alpha, beta)
-        return bool(
-            (self.child_masks[alpha] >> beta) & 1 or (self.child_masks[beta] >> alpha) & 1
-        )
-
 
 @lru_cache(maxsize=None)
 def _arc_bit_layout(n: int) -> tuple[tuple[int, int], ...]:

@@ -24,8 +24,10 @@ DAG file::
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import and_, lshift, or_
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from .core import IndependencyModel, Triple, Universe, check_disjoint, pack_key, unpack_keys
 from .dag import Dag
@@ -111,25 +113,20 @@ def format_set(universe: Universe, mask: int) -> str:
 def parse_triple(universe: Universe, text: str) -> Triple:
     """A triple written ``<set> | <set> | <set>``."""
     try:
-        return Triple(*_parse_sets(universe, text, {}))
+        return Triple(*_parse_sets(universe, text))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
 
-def _parse_sets(universe: Universe, text: str, masks: dict[str, int]) -> tuple[int, int, int]:
-    """The three disjoint masks of a triple's text; set texts are memoised in
-    ``masks``. Raises ``ValueError`` without a location: the caller adds it."""
+def _parse_sets(universe: Universe, text: str) -> tuple[int, int, int]:
+    """The three disjoint masks of a triple's text. Raises ``ValueError``
+    without a location: the caller adds it."""
     parts = text.split("|")
     if len(parts) != 3:
         raise ValueError(f"expected '<set> | <set> | <set>', found {text!r}")
-    sets = []
-    for part in parts:
-        mask = masks.get(part)
-        if mask is None:
-            mask = masks[part] = parse_set(universe, part)
-        sets.append(mask)
-    check_disjoint(*sets)
-    return tuple(sets)
+    a, c, b = (parse_set(universe, part) for part in parts)
+    check_disjoint(a, c, b)
+    return a, c, b
 
 
 def format_triple(universe: Universe, triple: Triple) -> str:
@@ -143,29 +140,85 @@ def format_triple(universe: Universe, triple: Triple) -> str:
 def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     """Read a model file.
 
-    Each line becomes a packed key (``core.pack_key``), no ``Triple`` built.
-    Each distinct set text is parsed once per call, through a dict from the
-    raw text between bars to its mask that is not kept between calls. A
-    repeated triple is one whose key's ``add`` leaves the key set's size unchanged.
+    The triple lines are read by column (``_column_keys``). A text whose
+    column pass fails a check goes to ``_raise_first_fault``, which reads it
+    line by line only to name the first bad line; it never returns.
+    """
+    universe = _parse_header(_content_lines(text), source=source)
+    keys = _column_keys(universe, text)
+    if keys is None:
+        _raise_first_fault(universe, text, source=source)
+    return IndependencyModel._from_keys(universe, keys)
+
+
+def _column_keys(universe: Universe, text: str) -> frozenset[int] | None:
+    """The packed keys (``core.pack_key``) of a model text's triple lines, or
+    ``None`` if some line is bad.
+
+    The content lines after the header must each hold two bars; joined and
+    split at the bars, they give the head (``I <a> ``), ``c`` and ``b``
+    columns. Each distinct head is checked for its ``I `` and each distinct
+    set text parsed once per call; the disjointness checks and the keys are
+    ``map``s over the mask columns, and a repeated triple leaves fewer keys
+    than lines.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    del lines[0]  # the header
+    if set(map(str.count, lines, repeat("|"))) - {2}:
+        return None
+    if not lines:
+        return frozenset()
+    joined = "|".join(lines)
+    del lines  # each text is held once at a time: lines, joined, then parts
+    parts = joined.split("|")
+    del joined
+    heads, cs, bs = parts[0::3], parts[1::3], parts[2::3]
+    del parts
+    head_texts = set(heads)
+    if not all(head.startswith("I ") for head in head_texts):
+        return None
+    try:
+        set_texts = set(cs).union(bs, [head[1:] for head in head_texts])
+        masks = {part: parse_set(universe, part) for part in set_texts}
+    except ValueError:
+        return None
+    head_masks = {head: masks[head[1:]] for head in head_texts}
+    a = list(map(head_masks.__getitem__, heads))
+    c = list(map(masks.__getitem__, cs))
+    b = list(map(masks.__getitem__, bs))
+    del heads, cs, bs
+    if any(map(and_, a, c)) or any(map(and_, a, b)) or any(map(and_, c, b)):
+        return None
+    n = universe.n
+    ac = map(or_, map(lshift, a, repeat(2 * n)), map(lshift, c, repeat(n)))
+    keys = frozenset(map(or_, ac, b))
+    return keys if len(keys) == len(a) else None
+
+
+def _raise_first_fault(universe: Universe, text: str, *, source: str | None) -> NoReturn:
+    """Raise the ``FormatError`` of the first bad triple line of a model text
+    whose header read as ``universe``, reading one line at a time.
+
+    ``parse_model`` calls this only for a text its column pass rejected, so
+    some line is bad.
     """
     lines = _content_lines(text)
-    universe = _parse_header(lines, source=source)
+    next(lines)  # the header
     n = universe.n
-    masks: dict[str, int] = {}
     keys: set[int] = set()
     try:  # around the loop, not in it: one location for every line's error
         for lineno, content in lines:
             if not content.startswith("I ") and content != "I":
                 raise ValueError(f"expected 'I <set> | <set> | <set>', found {content!r}")
-            a, c, b = _parse_sets(universe, content[1:], masks)
-            size = len(keys)
-            keys.add(pack_key(n, a, c, b))
-            if len(keys) == size:
+            a, c, b = _parse_sets(universe, content[1:])
+            key = pack_key(n, a, c, b)
+            if key in keys:
                 triple = format_triple(universe, Triple(a, c, b))
                 raise ValueError(f"duplicate triple 'I {triple}'")
+            keys.add(key)
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=lineno) from None
-    return IndependencyModel._from_keys(universe, keys)
+    raise AssertionError("the column pass rejected a model text with no bad line")
 
 
 def format_model(model: IndependencyModel) -> str:

@@ -460,6 +460,40 @@ def check_clause_bruteforce(model: IndependencyModel, clause: Clause) -> bool:
     )
 
 
+def read_model_text(text: str) -> frozenset[int] | int:
+    """A model file read from its written rules, one line at a time: the keys
+    ``a * 4**n + c * 2**n + b`` of its triples, or the number of its first bad
+    triple line. The ``vars:`` header must be valid.
+
+    Lines are ``str.splitlines`` lines stripped of white space; blank ones and
+    ones starting with ``#`` are skipped, and the first line left is the
+    header. Every later line is ``I `` and three sets between two bars; a set
+    is ``-``, nothing, or labels joined by commas, all with white space
+    allowed around them. The sets must be pairwise disjoint, and no triple may
+    come twice.
+    """
+    lines = [(i, raw.strip()) for i, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(i, line) for i, line in lines if line and not line.startswith("#")]
+    names = lines[0][1][len("vars:"):].split()
+    n, seen = len(names), set()
+    for number, line in lines[1:]:
+        if line[:2] != "I ":
+            return number
+        sets = []
+        for part in line[2:].split("|"):
+            labels = [] if part.strip() in ("", "-") else part.split(",")
+            if any(label.strip() not in names for label in labels):
+                return number
+            sets.append(sum({2 ** names.index(label.strip()) for label in labels}))
+        if len(sets) != 3 or sum(sets) != sets[0] | sets[1] | sets[2]:
+            return number
+        key = sets[0] * 4**n + sets[1] * 2**n + sets[2]
+        if key in seen:
+            return number
+        seen.add(key)
+    return frozenset(seen)
+
+
 def universe_of_size(n: int) -> Universe:
     return Universe(tuple(str(i) for i in range(n)))
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cimodels
-from cimodels.cli import entry, main
+from cimodels.cli import _build_parser, entry, main
 from cimodels.formats import parse_model
 
 DAG_TEXT = """\
@@ -240,6 +240,39 @@ class TestEnum:
         count = int(capsys.readouterr().out)
         assert main(["enum", "dags", "--n", str(n)]) == 0
         assert count == len(capsys.readouterr().out.splitlines())
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; each call still starts
+    from the parser's defaults."""
+
+    def test_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_successive_calls_share_no_state(self, capsys):
+        assert main(["enum", "dags", "--n", "3", "--count"]) == 0
+        assert main(["enum", "dags", "--n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["25", "-", "0->1", "1->0"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["model", "check", "--help"],
+            [],
+            ["enum", "dags"],
+            ["model", "check", "--model", "x", "--class", "bogus"],
+        ],
+    )
+    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as fresh:
+            _build_parser.__wrapped__().parse_args(argv)
+        expected = capsys.readouterr()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == fresh.value.code
+            assert capsys.readouterr() == expected
 
 
 class TestRepro:

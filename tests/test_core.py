@@ -141,7 +141,6 @@ class TestKeyCodec:
 NODE_CALLS = {
     "has_edge first": lambda g, d, m, i: g.has_edge(i, 1),
     "has_edge second": lambda g, d, m, i: g.has_edge(1, i),
-    "dag_pair_connected": lambda g, d, m, i: d.dag_pair_connected(0, i),
     "descendants": lambda g, d, m, i: d.descendants(i),
     "ancestors": lambda g, d, m, i: d.ancestors(i),
     "dependent_always": lambda g, d, m, i: dependent_always(m, i, 1),

@@ -20,6 +20,7 @@ from cimodels.dag import (
     dag_of_mask,
     enumerate_dags,
 )
+from cimodels.represent import _skeleton_edges
 from cimodels.ugraph import UndirectedGraph
 
 from oracles import (
@@ -297,34 +298,31 @@ class TestDsepModel:
         assert Triple(0b001, 0b010, 0b100) not in m
 
 
-class TestPairConnected:
-    def test_examples(self):
-        d = collider()
-        assert d.dag_pair_connected(0, 1)
-        assert not d.dag_pair_connected(0, 2)
-        ce = counterexample_dag()
-        assert not ce.dag_pair_connected(2, 3)
+class TestSkeleton:
+    """Two nodes of a DAG are joined by an arc exactly when no conditioning
+    set d-separates them, so the model's skeleton is the DAG's."""
 
-    def test_same_node_rejected(self):
-        with pytest.raises(ValueError):
-            collider().dag_pair_connected(1, 1)
+    def test_examples(self):
+        assert _skeleton_edges(collider().dsep_model()) == [(0, 1), (1, 2)]
+        skeleton = _skeleton_edges(counterexample_dag().dsep_model())
+        assert skeleton == [(0, 2), (0, 3), (1, 2), (3, 4)]
+        assert (2, 3) not in skeleton
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjacency_iff_never_separable(self, n):
         u = universe_of_size(n)
         for d in enumerate_dags(u):
+            never_separated = []
             for alpha, beta in combinations(range(n), 2):
                 others = u.full_mask & ~(1 << alpha) & ~(1 << beta)
-                never_separated = True
                 c = others
-                while True:
-                    if d.d_separates(1 << alpha, c, 1 << beta):
-                        never_separated = False
-                        break
+                while not d.d_separates(1 << alpha, c, 1 << beta):
                     if c == 0:
+                        never_separated.append((alpha, beta))
                         break
                     c = (c - 1) & others
-                assert d.dag_pair_connected(alpha, beta) == never_separated
+            arcs = sorted((min(arc), max(arc)) for arc in d.arcs)
+            assert _skeleton_edges(d.dsep_model()) == arcs == never_separated
 
 
 class TestEnumeration:

@@ -4,6 +4,8 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from cimodels.core import IndependencyModel, Triple, Universe
 from cimodels.dag import Dag
@@ -25,7 +27,7 @@ from cimodels.formats import (
 )
 from cimodels.ugraph import UndirectedGraph
 
-from oracles import random_model, universe_of_size
+from oracles import all_triples, random_model, read_model_text, universe_of_size
 
 MODEL_TEXT = """\
 vars: 1 2 3 4
@@ -203,6 +205,102 @@ class TestModelCodecErrors:
                 again = parse_model(text)
                 assert again == m
                 assert format_model(again) == text
+
+
+LABEL_LISTS = [["0", "1", "2", "3"], ["a", "bb", "x_1", "y"]]
+LINE_BREAKS = ["\n", "\r\n", "\x0c", "\u2028"]
+
+
+def _mutate(draw, names: list[str], lines: list[str]) -> None:
+    """Apply one drawn mutation to the triple lines, in place."""
+    kind = draw(
+        st.sampled_from(
+            ["bar", "prefix", "duplicate", "overlap", "label", "filler", "indent", "char"]
+        )
+    )
+    at = draw(st.integers(0, len(lines)))
+    line = lines[at] if at < len(lines) else "I " + names[0] + " | - | -"
+    if kind == "bar" and "|" in line:
+        cut = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == "|"]))
+        lines[at:at + 1] = [line[:cut] + line[cut + 1:]]
+    elif kind == "prefix":
+        lines[at:at + 1] = [draw(st.sampled_from(["J ", "i ", "I\t", "I", "", "II "])) + line[2:]]
+    elif kind == "duplicate" and lines:
+        lines.insert(at, draw(st.sampled_from(lines)))
+    elif kind == "overlap":
+        x, y = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        overlaps = [f"I {x} | {x} | -", f"I {x},{y} | - | {y}", f"I - | {x} | {x}"]
+        lines.insert(at, draw(st.sampled_from(overlaps)))
+    elif kind == "label":
+        x = draw(st.sampled_from(names))
+        bad = [f"I zz | - | {x}", f"I {x},, | - | -", "I , | - | -", f"I {x} | - | -,{x}"]
+        lines.insert(at, draw(st.sampled_from(bad)))
+    elif kind == "filler":
+        lines.insert(at, draw(st.sampled_from(["", "   ", "# note", "  # indented note", "\t"])))
+    elif kind == "indent":
+        before = draw(st.sampled_from([" ", "\t", "  "]))
+        lines[at:at + 1] = [before + line + draw(st.sampled_from(["", " ", "\t"]))]
+    elif kind == "char":
+        cut = draw(st.integers(0, len(line)))
+        char = draw(st.sampled_from(list("I |,-#\t") + names))
+        lines[at:at + 1] = [line[:cut] + char + line[cut:]]
+
+
+@st.composite
+def mutated_model_texts(draw):
+    """A valid model text with up to four mutations of its triple lines,
+    joined by one drawn line break."""
+    n = draw(st.integers(1, 4))
+    names = draw(st.sampled_from(LABEL_LISTS))[:n]
+
+    def set_text(mask: int) -> str:
+        labels = [names[i] for i in range(n) if mask >> i & 1]
+        return ",".join(labels) if labels else draw(st.sampled_from(["-", "", " - "]))
+
+    triples = draw(st.lists(st.sampled_from(all_triples(n)), unique=True, max_size=10))
+    bar = draw(st.sampled_from([" | ", "|", " |  "]))
+    lines = ["I " + bar.join(set_text(m) for m in (t.a, t.c, t.b)) for t in triples]
+    for _ in range(draw(st.integers(0, 4))):
+        _mutate(draw, names, lines)
+    header = draw(st.sampled_from(["", "# head\n", "\n  \n"])) + "vars: " + " ".join(names)
+    return draw(st.sampled_from(LINE_BREAKS)).join([header, *lines]) + "\n"
+
+
+@seed(2008)
+@settings(max_examples=500, deadline=None)
+@given(mutated_model_texts())
+def test_parse_model_agrees_with_the_line_reader(text):
+    """The column pass accepts exactly the texts an independent line-by-line
+    reader accepts, with the same keys, and otherwise names its first bad line."""
+    expected = read_model_text(text)
+    if isinstance(expected, int):
+        with pytest.raises(FormatError) as err:
+            parse_model(text, source="m.txt")
+        assert (err.value.source, err.value.line) == ("m.txt", expected)
+    else:
+        assert parse_model(text).keys == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "vars: a b\nI a | - | b\nI a | - | b\nI b | - | a\n\n# c\nJ a | - | b\n",
+            "duplicate triple 'I a | - | b'",
+        ),
+        (
+            "vars: a b\nI a | - | b\nJ a | - | b\nI b | - | a\n\n# c\nI a | - | b\n",
+            "expected 'I <set> | <set> | <set>', found 'J a | - | b'",
+        ),
+    ],
+)
+def test_first_bad_line_wins_whatever_its_fault(text, message):
+    # A duplicate on line 3 beats junk on line 7, and junk on line 3 beats a
+    # duplicate on line 7.
+    assert read_model_text(text) == 3
+    with pytest.raises(FormatError) as err:
+        parse_model(text, source="m.txt")
+    assert str(err.value) == f"m.txt:3: {message}"
 
 
 SEVENTEEN = " ".join(f"v{i}" for i in range(17))
