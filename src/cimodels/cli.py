@@ -179,12 +179,10 @@ def _run_formula(args: argparse.Namespace) -> int:
 
 
 def _run_enum(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        # range() of a negative count is empty and would report 0 labels.
-        raise ValueError(f"--n cannot be negative, got {args.n}")
+    table = acyclic_arc_masks(args.n)  # the DAG gate; it refuses a negative count too
     universe = Universe(tuple(str(i) for i in range(args.n)))
     if args.count:
-        print(len(acyclic_arc_masks(args.n)))
+        print(len(table))
         return 0
     for dag in enumerate_dags(universe):
         arcs = " ".join(f"{u}->{v}" for u, v in sorted(dag.arcs))

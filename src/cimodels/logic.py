@@ -31,7 +31,10 @@ from .core import IndependencyModel, Triple, Universe, bits_of, key_places
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
-DEFAULT_VALUATION_BUDGET = 1 << 24
+# Most valuation-atom checks model_satisfies and check_clause take on: the
+# count of every valuation of the formula's variables, valid or not, times
+# its atoms. The one gate of the valuation engine; no call overrides it.
+MAX_VALUATION_CHECKS = 1 << 24
 
 # Deepest nesting parse_formula accepts, and (by _check_depth) the deepest
 # formula or term built in code that the printer and evaluators accept. The
@@ -39,8 +42,6 @@ DEFAULT_VALUATION_BUDGET = 1 << 24
 # and the valuation engine one or two per level; so a formula at the gate
 # stays well inside Python's default recursion limit of 1000 frames.
 MAX_FORMULA_DEPTH = 100
-
-ENTAILMENT_FAMILY_GATES = {"causal": 4, "graph-isomorph": 5}
 
 ModelFamily = Literal["causal", "graph-isomorph", "all-models"]
 
@@ -551,11 +552,11 @@ def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) 
     return _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})(truths)
 
 
-def _check_budget(universe: Universe, var_count: int, atom_count: int, budget: int) -> None:
+def _check_budget(universe: Universe, var_count: int, atom_count: int) -> None:
     cost = (1 << universe.n) ** var_count * max(1, atom_count)
-    if cost > budget:
+    if cost > MAX_VALUATION_CHECKS:
         raise ValuationBudgetError(
-            f"{cost} valuation-atom checks exceed the budget of {budget}"
+            f"{cost} valuation-atom checks exceed the budget of {MAX_VALUATION_CHECKS}"
         )
 
 
@@ -597,24 +598,20 @@ def _allowed_digits(atoms: tuple[Atom, ...], names: tuple[str, ...]) -> list[tup
     )
 
 
-def model_satisfies(
-    model: IndependencyModel,
-    formula: Formula,
-    *,
-    budget: int = DEFAULT_VALUATION_BUDGET,
-) -> bool:
+def model_satisfies(model: IndependencyModel, formula: Formula) -> bool:
     """True iff every valid valuation of the formula satisfies it.
 
     Quantifies over the variables that occur in the formula (others cannot
     affect satisfaction). Vacuously true when no valid valuation exists.
     Raises ``ValuationBudgetError`` instead of silently truncating when the
-    enumeration would be too large: the cost counts every valuation, valid or
-    not, times the atoms, although only the valid ones are enumerated.
+    enumeration would cost more than ``MAX_VALUATION_CHECKS``: the cost counts
+    every valuation, valid or not, times the atoms, although only the valid
+    ones are enumerated.
     Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
     names = _sorted_names(_check_depth(formula))
     atoms = atoms_of(formula)
-    _check_budget(model.universe, len(names), len(atoms), budget)
+    _check_budget(model.universe, len(names), len(atoms))
     digits = _allowed_digits(atoms, names)
     # columns[i]: each allowed pattern's per-atom key contributions at element i.
     places = key_places(model.universe.n)
@@ -627,16 +624,11 @@ def model_satisfies(
     return True
 
 
-def check_clause(
-    model: IndependencyModel,
-    clause: Clause,
-    *,
-    budget: int = DEFAULT_VALUATION_BUDGET,
-) -> bool:
-    """Rule reading of a clause: whenever all negated atoms' triples are in
-    the model under a valid valuation, some positive atom's triple is too.
+def check_clause(model: IndependencyModel, clause: Clause) -> bool:
+    """Rule reading of a clause: whenever the triples of all its ``negatives``
+    are in the model under a valid valuation, some positive atom's triple is too.
     """
-    return model_satisfies(model, formula_of_clause(clause), budget=budget)
+    return model_satisfies(model, formula_of_clause(clause))
 
 
 # Clause <-> formula translation
@@ -659,8 +651,8 @@ def _leaves(formula: Formula, kind: type) -> list[Formula]:
 def clause_of_formula(formula: Formula) -> Clause | None:
     """Read a formula as a clause, or ``None`` when it has no clause shape.
 
-    Accepted leaves of the disjunction spine: an atom, a negated atom, and a
-    negated conjunction of atoms (the desugared rule antecedent).
+    Accepted leaves of the disjunction spine: an atom, the negation of an
+    atom, and a negated conjunction of atoms (the desugared rule antecedent).
     """
     negatives: list[Atom] = []
     positives: list[Atom] = []
@@ -698,24 +690,22 @@ def entails(
     """True iff every family member over ``universe`` containing all of
     ``given`` also contains ``query``.
 
-    ``causal`` and ``graph-isomorph`` enumerate their witnesses exhaustively
-    (gated by universe size). ``all-models`` needs no enumeration: the given
-    triples already form the smallest such model, so entailment holds exactly
-    when the query is among them.
+    ``causal`` and ``graph-isomorph`` walk every DAG or graph on the universe,
+    so they raise the gate of ``enumerate_dags`` or
+    ``enumerate_undirected_graphs``, before any member is built. ``all-models``
+    needs no enumeration: the given triples already form the smallest such
+    model, so entailment holds exactly when the query is among them.
     """
     for t in (*given, query):
         universe.check_mask(t.span)
     if family == "all-models":
         return query in set(given)
-    gate = ENTAILMENT_FAMILY_GATES.get(family)
-    if gate is None:
-        raise ValueError(f"unknown model family {family!r}")
-    if universe.n > gate:
-        raise ValueError(f"family {family!r} entailment is gated at {gate} variables")
     if family == "causal":
         members, holds = enumerate_dags(universe), Dag.d_separates
-    else:
+    elif family == "graph-isomorph":
         members, holds = enumerate_undirected_graphs(universe), UndirectedGraph.separates
+    else:
+        raise ValueError(f"unknown model family {family!r}")
     for member in members:
         if all(holds(member, t.a, t.c, t.b) for t in given) and not holds(
             member, query.a, query.c, query.b

@@ -16,7 +16,7 @@ from .core import (
     submasks,
     unpack_keys,
 )
-from .dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, acyclic_orientations
+from .dag import Dag, acyclic_arc_masks, acyclic_orientations
 from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -85,12 +85,13 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     its separation model with the input. On a mismatch, the first enumerated
     triple on which the two disagree is reported.
     """
+    n = model.universe.n
+    order = disjoint_keys(n)  # the triple gate, before the skeleton is read
     candidate = UndirectedGraph(model.universe, frozenset(_skeleton_edges(model)))
     differ = candidate.separation_model().keys ^ model.keys
     if not differ:
         return RepresentabilityResult(True, candidate, None)
-    n = model.universe.n
-    first = next(k for k in disjoint_keys(n) if k in differ)
+    first = next(k for k in order if k in differ)
     return RepresentabilityResult(False, None, Triple(*next(unpack_keys(n, [first]))))
 
 
@@ -122,13 +123,11 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
     ``dependent_always`` reports. Their ``acyclic_orientations`` come in
     enumeration order, so the first match is the first witness of a full scan.
     """
-    n = model.universe.n
-    if n > MAX_DAG_ENUM_NODES:
-        raise ValueError(f"causal check needs DAG enumeration, gated at {MAX_DAG_ENUM_NODES} nodes")
+    table = acyclic_arc_masks(model.universe.n)  # the DAG gate, before the skeleton is read
     for pos, dag in acyclic_orientations(model.universe, _skeleton_edges(model)):
         if _dag_induces(dag, model):
             return dag, pos
-    return None, len(acyclic_arc_masks(n))
+    return None, len(table)
 
 
 def is_causal(model: IndependencyModel) -> RepresentabilityResult:

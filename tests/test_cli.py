@@ -190,7 +190,7 @@ class TestFormula:
 
     def test_eval_over_the_valuation_budget(self, tmp_path, capsys):
         # Five variables over five labels: (2**5)**5 valuations times two
-        # atoms is 2**26 checks, past the default budget of 2**24.
+        # atoms is 2**26 checks, past the budget MAX_VALUATION_CHECKS = 2**24.
         path = tmp_path / "five.txt"
         path.write_text("vars: a b c d e\nI a | - | b\n")
         text = "I(X1, X2, X3) -> I(X4, X5, X1)"
@@ -213,10 +213,15 @@ class TestFormula:
         out = capsys.readouterr().out.splitlines()
         assert out == ["ENTAILED", "NOT ENTAILED"]
 
-    def test_entails_gate(self, dag_file, tmp_path, capsys):
-        big = tmp_path / "big.txt"
-        big.write_text("vars: a b c d e f\n")
-        assert main(["formula", "entails", "--family", "causal", "--given", str(big), "--query", "a | - | b"]) == 2
+    def test_entails_gate(self, tmp_path, capsys):
+        # An answer at the DAG gate; one label past it, exit 2 (message in TestLibraryGates).
+        at, past = tmp_path / "five.txt", tmp_path / "six.txt"
+        at.write_text("vars: a b c d e\nI a | - | b\n")
+        past.write_text("vars: a b c d e f\nI a | - | b\n")
+        argv = ["formula", "entails", "--family", "causal", "--query", "b | - | a", "--given"]
+        assert main([*argv, str(at)]) == 0
+        assert capsys.readouterr().out == "ENTAILED\n"
+        assert main([*argv, str(past)]) == 2
 
 
 class TestEnum:
@@ -417,7 +422,9 @@ class TestLibraryGates:
     @pytest.mark.parametrize("n", ["-1", "-7"])
     @pytest.mark.parametrize("count", [["--count"], []])
     def test_enum_dags_negative_nodes(self, capsys, n, count):
-        message = f"error: --n cannot be negative, got {n}\n"
+        from cimodels.dag import acyclic_arc_masks
+
+        message = library_error(acyclic_arc_masks, int(n))
         self.expect(capsys, ["enum", "dags", "--n", n, *count], message)
 
     @pytest.mark.parametrize("count", [["--count"], []])
@@ -436,16 +443,22 @@ class TestLibraryGates:
         message = library_error(scan_causal_witness, parse_model(path.read_text()))
         self.expect(capsys, ["model", "check", "--model", str(path), "--class", "causal"], message)
 
-    def test_causal_entailment_on_five_labels(self, tmp_path, capsys):
-        from cimodels.core import Triple
-        from cimodels.logic import entails
+    @pytest.mark.parametrize("family", ["causal", "graph-isomorph"])
+    def test_entailment_past_the_gate(self, tmp_path, capsys, family):
+        # One label past the enumerator's gate: its message.
+        from cimodels.dag import MAX_DAG_ENUM_NODES, acyclic_arc_masks
+        from cimodels.ugraph import MAX_GRAPH_ENUM_NODES, enumerate_undirected_graphs
 
-        path = tmp_path / "five.txt"
-        path.write_text("vars: a b c d e\n")
-        universe = parse_model(path.read_text()).universe
-        message = library_error(entails, "causal", (), Triple(0b1, 0, 0b10), universe)
-        argv = ["formula", "entails", "--family", "causal", "--given", str(path)]
-        argv += ["--query", "a | - | b"]
+        n = 1 + (MAX_DAG_ENUM_NODES if family == "causal" else MAX_GRAPH_ENUM_NODES)
+        path = tmp_path / "past.txt"
+        path.write_text("vars: " + " ".join(f"v{i}" for i in range(n)) + "\n")
+        if family == "causal":
+            message = library_error(acyclic_arc_masks, n)
+        else:
+            universe = parse_model(path.read_text()).universe
+            message = library_error(next, enumerate_undirected_graphs(universe))
+        argv = ["formula", "entails", "--family", family, "--given", str(path)]
+        argv += ["--query", "v0 | - | v1"]
         self.expect(capsys, argv, message)
 
     def test_restrict_to_no_labels(self, model_file, capsys):

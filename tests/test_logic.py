@@ -12,10 +12,11 @@ from cimodels.core import (
     Universe,
     enumerate_disjoint_triples,
 )
-from cimodels.dag import Dag, enumerate_dags
+from cimodels.dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, enumerate_dags
 from cimodels.logic import (
     EMPTY,
     MAX_FORMULA_DEPTH,
+    MAX_VALUATION_CHECKS,
     And,
     Atom,
     Clause,
@@ -47,6 +48,7 @@ from cimodels.logic import (
     term_variables,
 )
 from cimodels.logic import _check_depth, _fmt
+from cimodels.ugraph import MAX_GRAPH_ENUM_NODES, UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import (
     check_clause_bruteforce,
@@ -61,6 +63,15 @@ from oracles import (
 )
 
 SYMMETRY = "I(X1, X2, X3) -> I(X3, X2, X1)"
+
+# Past the valuation budget by one doubling: three variables over eight labels
+# are (2**8)**3 = MAX_VALUATION_CHECKS valuations, times the rule's two atoms.
+OVER_BUDGET = "33554432 valuation-atom checks exceed the budget of 16777216"
+
+
+def full_model(n):
+    """Every disjoint triple on ``n`` labels: the edgeless graph separates them all."""
+    return UndirectedGraph(universe_of_size(n), frozenset()).separation_model()
 
 
 def singleton_model():
@@ -543,11 +554,13 @@ class TestModelSatisfies:
         assert model_satisfies(holds, f)
         assert not model_satisfies(lacks, f)
 
-    def test_budget_enforced(self):
-        m = random_model(random.Random(3), universe_of_size(3), p=0.2)
-        f = parse_formula("I(X1, X2, X3) -> I(X3, X2, X1)")
-        with pytest.raises(ValuationBudgetError):
-            model_satisfies(m, f, budget=10)
+    def test_budget_at_the_constant(self):
+        # One atom over three variables on eight labels costs the budget exactly.
+        m = full_model(8)
+        assert (1 << 8) ** 3 == MAX_VALUATION_CHECKS
+        assert model_satisfies(m, parse_formula("I(X1, X2, X3)"))
+        with pytest.raises(ValuationBudgetError, match=f"^{OVER_BUDGET}$"):
+            model_satisfies(m, parse_formula(SYMMETRY))
 
     def test_conjunction_introduction(self):
         rng = random.Random(53)
@@ -649,23 +662,16 @@ class TestClauses:
             c = random_clause(rng, names)
             assert check_clause(m, c) == model_satisfies(m, formula_of_clause(c))
 
-    def test_budget_enforced(self):
-        m = random_model(random.Random(71), universe_of_size(3), p=0.3)
-        c = parse_clause("I(X1,X2,X3) -> I(X3,X2,X1)")
-        with pytest.raises(ValuationBudgetError):
-            check_clause(m, c, budget=5)
+    def test_budget_at_the_constant(self):
+        assert check_clause(full_model(8), parse_clause("I(X1, X2, X3)"))
 
     def test_budget_counts_every_valuation_times_atoms(self):
-        # (2**3)**3 valuations of three variables, two atoms: 1024 checks,
-        # although only 4**3 of those valuations are valid.
-        m = random_model(random.Random(73), universe_of_size(3), p=0.3, symmetric=True)
-        c = parse_clause(SYMMETRY)
-        assert check_clause(m, c, budget=1024)
-        assert model_satisfies(m, formula_of_clause(c), budget=1024)
-        with pytest.raises(ValuationBudgetError, match="1024 valuation-atom checks"):
-            check_clause(m, c, budget=1023)
-        with pytest.raises(ValuationBudgetError, match="1024 valuation-atom checks"):
-            model_satisfies(m, formula_of_clause(c), budget=1023)
+        # The symmetry rule over eight labels has only 4**8 valid valuations,
+        # yet costs all (2**8)**3 valuations times its two atoms. Over seven
+        # labels it costs a quarter of the budget, and holds in the full model.
+        with pytest.raises(ValuationBudgetError, match=f"^{OVER_BUDGET}$"):
+            check_clause(full_model(8), parse_clause(SYMMETRY))
+        assert check_clause(full_model(7), parse_clause(SYMMETRY))
 
 
 class TestEngineAgainstOracle:
@@ -767,13 +773,48 @@ class TestEntails:
         with pytest.raises(ValueError):
             entails("markov", [], Triple(0b01, 0, 0b10), u)
 
-    def test_gates(self):
+    @pytest.mark.parametrize(
+        "family, built, n, gate",
+        [
+            ("causal", Dag, MAX_DAG_ENUM_NODES + 1, acyclic_arc_masks),
+            ("graph-isomorph", UndirectedGraph, MAX_GRAPH_ENUM_NODES + 1,
+             lambda n: next(enumerate_undirected_graphs(universe_of_size(n)))),
+        ],
+        ids=["causal", "graph-isomorph"],
+    )
+    def test_gates(self, monkeypatch, family, built, n, gate):
+        # One past the enumerator's gate: its message, and no member is built.
+        with pytest.raises(ValueError) as raised:
+            gate(n)
         t = Triple(0b01, 0, 0b10)
-        with pytest.raises(ValueError):
-            entails("causal", [], t, universe_of_size(5))
-        with pytest.raises(ValueError):
-            entails("graph-isomorph", [], t, universe_of_size(6))
-        assert not entails("all-models", [], t, universe_of_size(6))
+
+        def refuse(self):
+            raise AssertionError(f"{built.__name__} built past the gate")
+
+        monkeypatch.setattr(built, "__post_init__", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            entails(family, [t], t, universe_of_size(n))
+        assert not entails("all-models", [], t, universe_of_size(n))
+
+    @pytest.mark.parametrize(
+        "family, n, given, query",
+        [
+            # Composition: d-separation from 1 and from 3 given 2 is from both.
+            ("causal", MAX_DAG_ENUM_NODES, [(0b1, 0b100, 0b10), (0b1, 0b100, 0b1000)],
+             (0b1, 0b100, 0b1010)),
+            # Strong union: graph separation survives a larger separator.
+            ("graph-isomorph", MAX_GRAPH_ENUM_NODES, [(0b1, 0b100, 0b10)], (0b1, 0b10100, 0b10)),
+            # Intersection: separation given 2, 3 from 1 and given 1, 2 from 3.
+            ("graph-isomorph", MAX_GRAPH_ENUM_NODES, [(0b1, 0b1100, 0b10), (0b1, 0b110, 0b1000)],
+             (0b1, 0b100, 0b1010)),
+        ],
+        ids=["causal-composition", "graph-strong-union", "graph-intersection"],
+    )
+    def test_at_the_gates_agrees_with_path_oracle(self, family, n, given, query):
+        u = universe_of_size(n)
+        given, query = [Triple(*g) for g in given], Triple(*query)
+        assert entails(family, given, query, u)
+        assert entails_by_paths(family, given, query, u)
 
     def test_triples_validated_against_universe(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,21 @@
 """Representability decisions and the semi-graphoid closure check."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
 
-from cimodels.core import IndependencyModel, Triple, Universe, model_equals
-from cimodels.dag import Dag, enumerate_dags
+from cimodels import represent
+from cimodels.core import (
+    MAX_TRIPLE_ENUM_NODES,
+    IndependencyModel,
+    Triple,
+    Universe,
+    disjoint_keys,
+    model_equals,
+)
+from cimodels.dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, enumerate_dags
 from cimodels.logic import model_satisfies, parse_formula
 from cimodels.represent import (
     SEMIGRAPHOID_AXIOM_FORMULAS,
@@ -152,6 +161,32 @@ class TestIsCausal:
         m = IndependencyModel(universe_of_size(6), frozenset())
         with pytest.raises(ValueError):
             is_causal(m)
+
+
+class TestGateBeforeWork:
+    """One label past its enumerator's gate, a check raises that gate's
+    ``ValueError`` before it reads any pair of the model."""
+
+    @pytest.fixture(autouse=True)
+    def no_pair_read(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pair was read before the gate")
+
+        monkeypatch.setattr(represent, "dependent_always", refuse)
+
+    @pytest.mark.parametrize(
+        "check, gate, n",
+        [
+            (is_graph_isomorph, disjoint_keys, MAX_TRIPLE_ENUM_NODES + 1),
+            (scan_causal_witness, acyclic_arc_masks, MAX_DAG_ENUM_NODES + 1),
+        ],
+        ids=["graph-check", "causal-scan"],
+    )
+    def test_gate_first(self, check, gate, n):
+        with pytest.raises(ValueError) as raised:
+            gate(n)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
+            check(IndependencyModel(universe_of_size(n), frozenset()))
 
 
 def first_dag_per_model(n):
