@@ -190,19 +190,27 @@ def acyclic_arc_masks(n: int) -> tuple[int, ...]:
     return tuple(sorted({s for f in _forward_arc_masks(n) for s in submasks(f)}))
 
 
+def _orientation_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Arc masks of the acyclic orientations of ``edges`` on ``n`` nodes, ascending.
+
+    Each is a node order's forward arcs cut down to the edges, and every
+    acyclic one is cut so from a topological order.
+    """
+    both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges)
+    return sorted({f & both for f in _forward_arc_masks(n)})
+
+
 def acyclic_orientations(
     universe: Universe, edges: Iterable[tuple[int, int]]
 ) -> Iterator[tuple[int, Dag]]:
     """Yield ``(position, dag)`` for every acyclic orientation of ``edges``.
 
-    Each is a node order's forward arcs cut down to the edges, and every
-    acyclic one is cut so from a topological order. They come ascending by
-    arc mask; ``position`` is the 1-based place in ``enumerate_dags`` order.
+    They come ascending by arc mask (see ``_orientation_masks``); ``position``
+    is the 1-based place in ``enumerate_dags`` order.
     """
     edges = UndirectedGraph(universe, edges).edges  # checks the skeleton as a graph
-    n, table = universe.n, acyclic_arc_masks(universe.n)
-    both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges)
-    for mask in sorted({f & both for f in _forward_arc_masks(n)}):
+    table = acyclic_arc_masks(universe.n)
+    for mask in _orientation_masks(universe.n, edges):
         yield bisect_left(table, mask) + 1, dag_of_mask(universe, mask)
 
 

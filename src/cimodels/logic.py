@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Literal, Mapping, Sequence
 
 from .core import IndependencyModel, Triple, Universe, bits_of, key_places
 from .dag import Dag, enumerate_dags
@@ -683,7 +683,7 @@ def formula_of_clause(clause: Clause) -> Formula:
 
 def entails(
     family: ModelFamily,
-    given: list[Triple] | tuple[Triple, ...],
+    given: Iterable[Triple],
     query: Triple,
     universe: Universe,
 ) -> bool:
@@ -696,6 +696,7 @@ def entails(
     needs no enumeration: the given triples already form the smallest such
     model, so entailment holds exactly when the query is among them.
     """
+    given = tuple(given)  # may be a one-shot iterator
     for t in (*given, query):
         universe.check_mask(t.span)
     if family == "all-models":

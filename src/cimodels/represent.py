@@ -4,19 +4,21 @@ plus the semi-graphoid closure check.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     IndependencyModel,
     Triple,
+    bits_of,
     disjoint_keys,
     pack_key,
     separated_keys,
     submasks,
     unpack_keys,
 )
-from .dag import Dag, acyclic_arc_masks, acyclic_orientations
+from .dag import Dag, _orientation_masks, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -54,21 +56,33 @@ class AxiomViolation:
     conclusion: Triple
 
 
-def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
-    """True iff no conditioning set renders the two singletons independent.
+def _first_separator(model: IndependencyModel, alpha: int, beta: int) -> int | None:
+    """The first conditioning set under which the model holds the two
+    singletons independent, or ``None`` when there is none.
 
-    Both orientations are consulted, since stored models need not be
-    symmetric: the model is looked up for ``({alpha}, c, {beta})`` and
-    ``({beta}, c, {alpha})`` with ``c`` over the subsets of the other labels.
+    Sets run over the subsets of the other labels in ``submasks`` order, and
+    both orientations are consulted, since stored models need not be
+    symmetric: a set counts when the model has ``({alpha}, c, {beta})`` or
+    ``({beta}, c, {alpha})``.
     """
+    n, keys, a, b = model.universe.n, model.keys, 1 << alpha, 1 << beta
+    return next(
+        (
+            c
+            for c in submasks(model.universe.full_mask & ~(a | b))
+            if pack_key(n, a, c, b) in keys or pack_key(n, b, c, a) in keys
+        ),
+        None,
+    )
+
+
+def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
+    """True iff no conditioning set renders the two singletons independent,
+    in either orientation (see ``_first_separator``)."""
     if alpha == beta:
         raise ValueError("the two nodes must be distinct")
     model.universe.check_nodes(alpha, beta)
-    n, keys, a, b = model.universe.n, model.keys, 1 << alpha, 1 << beta
-    return not any(
-        pack_key(n, a, c, b) in keys or pack_key(n, b, c, a) in keys
-        for c in submasks(model.universe.full_mask & ~(a | b))
-    )
+    return _first_separator(model, alpha, beta) is None
 
 
 def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
@@ -117,16 +131,42 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
     ``enumerate_dags`` order; with no witness the count is the number of all
     DAGs on the universe, every one of which is ruled out.
 
-    Only the orientations of one skeleton are compared: a DAG's model leaves
-    two nodes dependent under every conditioning set exactly when they are
-    adjacent, so every DAG inducing ``model`` joins exactly the pairs that
-    ``dependent_always`` reports. Their ``acyclic_orientations`` come in
-    enumeration order, so the first match is the first witness of a full scan.
+    At most one DAG is compared. A DAG's model leaves two nodes dependent
+    under every conditioning set exactly when they are adjacent, so every DAG
+    inducing ``model`` has the skeleton of the pairs with no separating set.
+    For each unshielded triple ``x - z - y`` of that skeleton, a DAG's model
+    holds ``x`` and ``y`` apart under no set holding ``z`` when ``z`` is a
+    collider ``x -> z <- y``, and under no set leaving ``z`` out otherwise.
+    So the first separating set of ``x`` and ``y`` gives the rule: ``z`` is a
+    collider exactly when that set leaves it out. If ``model`` is causal,
+    every DAG inducing it passes the rule; and every orientation that passes
+    has the skeleton and the v-structures of such a DAG, so it induces the
+    same model (Verma & Pearl 1990). Hence the first passing orientation, in
+    ascending arc-mask order, is the first witness, or there is none.
     """
-    table = acyclic_arc_masks(model.universe.n)  # the DAG gate, before the skeleton is read
-    for pos, dag in acyclic_orientations(model.universe, _skeleton_edges(model)):
+    n = model.universe.n
+    table = acyclic_arc_masks(n)  # the DAG gate, before any pair is read
+    separators = {(x, y): _first_separator(model, x, y) for x, y in combinations(range(n), 2)}
+    edges = [pair for pair, sep in separators.items() if sep is None]
+    adjacent = UndirectedGraph(model.universe, edges).neighbor_masks
+    rules = [  # (the arcs x -> z and y -> z, whether z is a collider)
+        (1 << arc_bit(n, x, z) | 1 << arc_bit(n, y, z), not sep >> z & 1)
+        for (x, y), sep in separators.items()
+        if sep is not None
+        for z in bits_of(adjacent[x] & adjacent[y])
+    ]
+    first = next(
+        (
+            mask
+            for mask in _orientation_masks(n, edges)
+            if all((mask & arcs == arcs) == collider for arcs, collider in rules)
+        ),
+        None,
+    )
+    if first is not None:
+        dag = dag_of_mask(model.universe, first)
         if _dag_induces(dag, model):
-            return dag, pos
+            return dag, bisect_left(table, first) + 1
     return None, len(table)
 
 

@@ -10,11 +10,17 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
-from cimodels.core import IndependencyModel, Triple, Universe, enumerate_disjoint_triples
-from cimodels.dag import Dag
+from cimodels.core import (
+    IndependencyModel,
+    Triple,
+    Universe,
+    enumerate_disjoint_triples,
+    separated_keys,
+)
+from cimodels.dag import Dag, acyclic_orientations
 from cimodels.logic import (
     EMPTY,
     And,
@@ -252,6 +258,36 @@ def dependent_always_by_triples(model, alpha: int, beta: int) -> bool:
     orientation: one pass over the decoded ``Triple`` values."""
     pair = {1 << alpha, 1 << beta}
     return not any({t.a, t.b} == pair for t in model.triples)
+
+
+def scan_causal_witness_reference(model) -> tuple[Dag | None, int]:
+    """``(witness, count)`` as ``represent.scan_causal_witness`` defines them,
+    by comparing every acyclic orientation of the model's skeleton with the
+    model, in ``acyclic_orientations`` order.
+
+    The skeleton joins the pairs of singletons that no triple of the model
+    relates, in either orientation. A DAG matches when the keys its
+    ``dsep_model`` is built from are exactly the model's; the stream of them
+    is dropped at the first key the model lacks. With no witness the count
+    is ``dag_count(n)``.
+    """
+    n, keys, full = model.universe.n, model.keys, model.universe.full_mask
+    related = {(key >> 2 * n, key & full) for key in keys}  # the (a, b) of each triple
+    edges = [
+        (i, j)
+        for i, j in combinations(range(n), 2)
+        if (1 << i, 1 << j) not in related and (1 << j, 1 << i) not in related
+    ]
+    for pos, dag in acyclic_orientations(model.universe, edges):
+        held = 0
+        for key in separated_keys(model.universe, dag._active_reach):
+            if key not in keys:
+                break
+            held += 1
+        else:
+            if held == len(keys):
+                return dag, pos
+    return None, dag_count(n)
 
 
 def all_triples(n: int) -> list[Triple]:

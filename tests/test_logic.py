@@ -751,6 +751,16 @@ class TestEntails:
         assert entails("graph-isomorph", [given], widened, u)
         assert not entails("all-models", [given], widened, u)
 
+    @pytest.mark.parametrize("family", ["causal", "graph-isomorph", "all-models"])
+    def test_given_as_a_generator(self, family):
+        # The given triples are read twice: once checked, once used.
+        u = universe_of_size(3)
+        given = [Triple(0b001, 0, 0b010), Triple(0b001, 0b100, 0b010)]
+        for query in (given[0].reverse(), given[1]):
+            expected = entails(family, given, query, u)
+            assert entails(family, (t for t in given), query, u) == expected
+            assert expected == (family != "all-models" or query in given)
+
     def test_agrees_with_path_oracle(self):
         rng = random.Random(61)
         outcomes = set()

@@ -13,6 +13,7 @@ from cimodels.core import (
     Triple,
     Universe,
     disjoint_keys,
+    enumerate_disjoint_triples,
     model_equals,
 )
 from cimodels.dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, enumerate_dags
@@ -35,6 +36,7 @@ from oracles import (
     dag_count,
     dependent_always_by_triples,
     random_model,
+    scan_causal_witness_reference,
     semigraphoid_violations_by_placements,
     universe_of_size,
 )
@@ -172,7 +174,7 @@ class TestGateBeforeWork:
         def refuse(*args):
             raise AssertionError("a pair was read before the gate")
 
-        monkeypatch.setattr(represent, "dependent_always", refuse)
+        monkeypatch.setattr(represent, "_first_separator", refuse)
 
     @pytest.mark.parametrize(
         "check, gate, n",
@@ -251,6 +253,89 @@ class TestSkeletonPrunedScan:
                 expected = [(i, j) for i, j in pairs if dependent_always_by_triples(m, i, j)]
                 assert _skeleton_edges(m) == expected
                 assert [(i, j) for i, j in pairs if dependent_always(m, i, j)] == expected
+
+
+def dag_models(n):
+    """Each distinct DAG model on ``n`` labels, once."""
+    models = (d.dsep_model() for d in enumerate_dags(universe_of_size(n)))
+    return list({m.keys: m for m in models}.values())
+
+
+def graph_models(ns):
+    graphs = (g for n in ns for g in enumerate_undirected_graphs(universe_of_size(n)))
+    return [g.separation_model() for g in graphs]
+
+
+def one_triple_toggles(rng):
+    triples = list(enumerate_disjoint_triples(universe_of_size(4)))
+    return [
+        IndependencyModel(m.universe, m.triples ^ {t})
+        for m in dag_models(4)
+        for t in rng.sample(triples, 2)
+    ]
+
+
+def six_node_dag_models_on_five_labels(rng):
+    u6, models = universe_of_size(6), []
+    for _ in range(40):
+        order, p = rng.sample(range(6), 6), rng.uniform(0.2, 0.7)
+        arcs = [(order[i], order[j]) for i, j in combinations(range(6), 2) if rng.random() < p]
+        dropped = 1 << rng.randrange(6)
+        models.append(Dag(u6, frozenset(arcs)).dsep_model().restrict(0b111111 & ~dropped))
+    return models
+
+
+def cycle_model(n):
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return UndirectedGraph(universe_of_size(n), frozenset(edges)).separation_model()
+
+
+SCAN_MODEL_GROUPS = {
+    "dag-models-up-to-4": lambda rng: [m for n in (1, 2, 3, 4) for m in dag_models(n)],
+    "graph-models-up-to-4": lambda rng: graph_models((1, 2, 3, 4)),
+    "one-triple-toggles-of-4-node-dag-models": one_triple_toggles,
+    "six-node-dag-models-on-five-labels": six_node_dag_models_on_five_labels,
+    "graph-models-on-5": lambda rng: graph_models((5,)),
+}
+
+
+class TestColliderRuleScan:
+    """The scan compares at most one orientation, and returns what comparing
+    every orientation of the skeleton returns."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        """The DAGs ``_dag_induces`` is called on, in call order."""
+        dags, induces = [], represent._dag_induces
+
+        def counted(dag, model):
+            dags.append(dag)
+            return induces(dag, model)
+
+        monkeypatch.setattr(represent, "_dag_induces", counted)
+        return dags
+
+    @pytest.mark.parametrize("group", list(SCAN_MODEL_GROUPS))
+    def test_matches_reference_with_at_most_one_compare(self, group, compared):
+        for m in SCAN_MODEL_GROUPS[group](random.Random(18)):
+            expected, expected_count = scan_causal_witness_reference(m)
+            compared.clear()
+            witness, count = scan_causal_witness(m)
+            assert witness == expected and count == expected_count
+            assert len(compared) <= 1
+
+    @pytest.mark.parametrize(
+        "build, count",
+        [
+            (restricted_counterexample, 543),
+            (lambda: cycle_model(4), 543),
+            (lambda: cycle_model(5), 29281),
+        ],
+        ids=["paper-R", "4-cycle", "5-cycle"],
+    )
+    def test_no_orientation_passes_the_rule(self, build, count, compared):
+        assert scan_causal_witness(build()) == (None, count)
+        assert compared == []
 
 
 class TestCheckSemigraphoid:
