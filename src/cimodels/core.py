@@ -227,6 +227,49 @@ def separated(universe: Universe, reach: Callable[[int, int], int], a: int, c: i
     return not (a and b and reach(a, c) & b)
 
 
+def semigraphoid_closed(n: int, keys: frozenset[int]) -> bool:
+    """True iff the packed keys of ``n`` labels violate no instance of the four
+    semi-graphoid schemata as ``represent.check_semigraphoid`` lists them.
+
+    Only one-step instances are tested: the keys are symmetric; a triple
+    ``(a, c, b)`` with ``x`` in ``b`` brings ``(a, c, b-x)`` and
+    ``(a, c+x, b-x)``; and with ``x`` in ``c``, ``(a, c-x, {x})`` and
+    ``(a, c, b)`` bring ``(a, c-x, b+x)``. Each is an instance of symmetry,
+    decomposition, weak union or contraction, so a closed set passes.
+    Conversely, chains of the first steps give every decomposition and weak
+    union. Contraction, from ``(a, c, b)`` and ``(a, c+b, d)`` to
+    ``(a, c, b+d)``, goes by induction on ``|b|``. An empty ``b`` concludes
+    the second premise. Else take ``x`` in ``b``: weak union gives
+    ``(a, c+x, b-x)``, which with ``(a, c+x+(b-x), d)`` gives
+    ``(a, c+x, b-x+d)`` by induction, and that with ``(a, c, {x})``, a
+    decomposition, gives ``(a, c, b+d)`` in one step.
+
+    A triple with ``a`` empty brings only triples with ``a`` empty; one with
+    ``b`` empty brings back only its own premise ``(a, c-x, {x})``; each
+    swaps to one with the other side empty. So when the keys hold all
+    ``2 * 3**n - 2**n`` triples with an empty side, as every induced model
+    does, only the others are tested. Time ``O(|keys| * n)``.
+    """
+    low, top = (1 << n) - 1, 2 * n
+    inner = [k for k in keys if k >> top and k & low]
+    tested = inner if len(keys) - len(inner) == 2 * 3**n - (1 << n) else keys
+    held = keys.issuperset
+    if not held((k & low) << top | k & low << n | k >> top for k in tested):
+        return False
+    for i in range(n):
+        x = 1 << i
+        move = x | x << n  # the bits that move x between c and b
+        in_b = [k for k in tested if k & x]
+        if not (
+            held(k ^ x for k in in_b)
+            and held(k ^ move for k in in_b)
+            # x in c: the premise (a, c-x, {x}) is the same move made on (a, c, -).
+            and held(k ^ move for k in tested if k & x << n and (k >> n << n) ^ move in keys)
+        ):
+            return False
+    return True
+
+
 @dataclass(frozen=True, init=False)
 class IndependencyModel:
     """An extensional set of independence triples over a universe.

@@ -84,14 +84,20 @@ def _parse_header(lines: Iterator[tuple[int, str]], *, source: str | None) -> Un
     except StopIteration:
         raise FormatError("missing 'vars:' header", source=source) from None
     try:
-        if not content.startswith("vars:"):
-            raise ValueError("first line must be a 'vars:' header")
-        labels = content[len("vars:"):].split()
-        for label in labels:
-            _check_label(label)
-        return Universe(tuple(labels))
+        return _header_universe(content)
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=lineno) from None
+
+
+def _header_universe(content: str) -> Universe:
+    """The universe of a ``vars:`` header line. Raises ``ValueError``
+    without a location: the caller adds it."""
+    if not content.startswith("vars:"):
+        raise ValueError("first line must be a 'vars:' header")
+    labels = content[len("vars:"):].split()
+    for label in labels:
+        _check_label(label)
+    return Universe(tuple(labels))
 
 
 def parse_set(universe: Universe, text: str) -> int:
@@ -140,34 +146,38 @@ def format_triple(universe: Universe, triple: Triple) -> str:
 def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     """Read a model file.
 
-    The triple lines are read by column (``_column_keys``). A text whose
-    column pass fails a check goes to ``_raise_first_fault``, which reads it
-    line by line only to name the first bad line; it never returns.
+    The text is split into lines once, and the header and the triple lines
+    are read from that list, the triple lines by column (``_column_keys``).
+    A text that fails a check there goes to ``_raise_first_fault``, which
+    reads it again line by line only to name the first bad line, the header
+    included; it never returns.
     """
-    universe = _parse_header(_content_lines(text), source=source)
-    keys = _column_keys(universe, text)
-    if keys is None:
-        _raise_first_fault(universe, text, source=source)
-    return IndependencyModel._from_keys(universe, keys)
+    read = _column_keys(text)
+    if read is None:
+        _raise_first_fault(text, source=source)
+    return IndependencyModel._from_keys(*read)
 
 
-def _column_keys(universe: Universe, text: str) -> frozenset[int] | None:
-    """The packed keys (``core.pack_key``) of a model text's triple lines, or
-    ``None`` if some line is bad.
+def _column_keys(text: str) -> tuple[Universe, frozenset[int]] | None:
+    """The universe of a model text's header and the packed keys
+    (``core.pack_key``) of its triple lines, or ``None`` if some line is bad.
 
-    The content lines after the header must each hold two bars; joined and
-    split at the bars, they give the head (``I <a> ``), ``c`` and ``b``
-    columns. Each distinct head is checked for its ``I `` and each distinct
-    set text parsed once per call; the disjointness checks and the keys are
-    ``map``s over the mask columns, and a repeated triple leaves fewer keys
-    than lines.
+    The header is the first content line. The content lines after it must
+    each hold two bars; joined and split at the bars, they give the head
+    (``I <a> ``), ``c`` and ``b`` columns. Each distinct head is checked for
+    its ``I `` and each distinct set text parsed once per call; the
+    disjointness checks and the keys are ``map``s over the mask columns, and
+    a repeated triple leaves fewer keys than lines.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
-    del lines[0]  # the header
+    try:
+        universe = _header_universe(lines.pop(0))
+    except (IndexError, ValueError):  # IndexError: no content line at all
+        return None
     if set(map(str.count, lines, repeat("|"))) - {2}:
         return None
     if not lines:
-        return frozenset()
+        return universe, frozenset()
     joined = "|".join(lines)
     del lines  # each text is held once at a time: lines, joined, then parts
     parts = joined.split("|")
@@ -192,18 +202,18 @@ def _column_keys(universe: Universe, text: str) -> frozenset[int] | None:
     n = universe.n
     ac = map(or_, map(lshift, a, repeat(2 * n)), map(lshift, c, repeat(n)))
     keys = frozenset(map(or_, ac, b))
-    return keys if len(keys) == len(a) else None
+    return (universe, keys) if len(keys) == len(a) else None
 
 
-def _raise_first_fault(universe: Universe, text: str, *, source: str | None) -> NoReturn:
-    """Raise the ``FormatError`` of the first bad triple line of a model text
-    whose header read as ``universe``, reading one line at a time.
+def _raise_first_fault(text: str, *, source: str | None) -> NoReturn:
+    """Raise the ``FormatError`` of the first bad line of a model text,
+    header included, reading one line at a time.
 
     ``parse_model`` calls this only for a text its column pass rejected, so
     some line is bad.
     """
     lines = _content_lines(text)
-    next(lines)  # the header
+    universe = _parse_header(lines, source=source)
     n = universe.n
     keys: set[int] = set()
     try:  # around the loop, not in it: one location for every line's error

@@ -212,6 +212,22 @@ def semigraphoid_violations_by_placements(model) -> set[tuple[str, Triple]]:
     return found
 
 
+def semigraphoid_closure(model, schemata) -> IndependencyModel:
+    """The least model holding ``model`` that violates no instance of the
+    named schemata: the missing conclusions that
+    ``semigraphoid_violations_by_placements`` reports for them are added
+    until a pass reports none.
+    """
+    triples = set(model.triples)
+    while True:
+        closure = IndependencyModel(model.universe, frozenset(triples))
+        found = semigraphoid_violations_by_placements(closure)
+        missing = {t for schema, t in found if schema in schemata}
+        if not missing:
+            return closure
+        triples |= missing
+
+
 def check_semigraphoid_reference(model) -> list[AxiomViolation]:
     """The Triple-based semi-graphoid check, in the library's exact order.
 

@@ -37,6 +37,7 @@ from oracles import (
     dependent_always_by_triples,
     random_model,
     scan_causal_witness_reference,
+    semigraphoid_closure,
     semigraphoid_violations_by_placements,
     universe_of_size,
 )
@@ -435,6 +436,109 @@ class TestCheckSemigraphoid:
             clean = not check_semigraphoid(m)
             by_formulas = all(model_satisfies(m, f) for f in formulas.values())
             assert clean == by_formulas
+
+
+SCHEMATA = tuple(SEMIGRAPHOID_AXIOM_FORMULAS)
+
+
+def closure_seeds():
+    """Seeded random seeds on 2-4 labels: one to three triples with both
+    sides nonempty, and in every second seed every triple with an empty
+    side, as an induced model holds them."""
+    rng, seeds = random.Random(19), []
+    for n in (2, 3, 4):
+        u = universe_of_size(n)
+        triples = list(enumerate_disjoint_triples(u))
+        inner = [t for t in triples if t.a and t.b]
+        empty_side = {t for t in triples if not (t.a and t.b)}
+        for i in range(8):
+            seed = set(rng.sample(inner, min(rng.randint(1, 3), len(inner))))
+            seeds.append(IndependencyModel(u, seed | empty_side if i % 2 else seed))
+    return seeds
+
+
+def closures():
+    return [semigraphoid_closure(m, SCHEMATA) for m in closure_seeds()]
+
+
+def closures_less_one_triple():
+    """Each closure less one of its triples, for six triples of each: four
+    with both sides nonempty (all of them where fewer) and two of any kind."""
+    rng, models = random.Random(20), []
+    for m in closures():
+        ordered = sorted(m.triples, key=lambda t: (t.a, t.c, t.b))
+        inner = [t for t in ordered if t.a and t.b]
+        picks = rng.sample(inner, min(4, len(inner))) + rng.sample(ordered, 2)
+        models += [IndependencyModel(m.universe, m.triples - {t}) for t in picks]
+    return models
+
+
+# Of the 24 seeds' closures under the other three schemata: (how many are
+# closed, how many violate the left-out schema alone). The two add up to 24.
+THREE_SCHEMATA_COUNTS = {
+    "symmetry": (3, 21),
+    "decomposition": (7, 17),
+    "weak_union": (7, 17),
+    "contraction": (9, 15),
+}
+
+
+class TestNearClosure:
+    """Models at or near closure, where the one-step decision and the walk
+    can differ only if the decision is wrong."""
+
+    def test_closures_match_reference(self):
+        models = closures()
+        for m in models:
+            assert check_semigraphoid(m) == check_semigraphoid_reference(m) == []
+        assert len(models) == 24
+
+    def test_closures_less_one_triple_match_reference(self):
+        models, violated = closures_less_one_triple(), 0
+        for m in models:
+            expected = check_semigraphoid_reference(m)
+            assert check_semigraphoid(m) == expected
+            violated += bool(expected)
+        assert violated == len(models) == 124
+
+    @pytest.mark.parametrize("left_out", SCHEMATA)
+    def test_closures_under_three_schemata(self, left_out):
+        kept = [schema for schema in SCHEMATA if schema != left_out]
+        closed = violated_left_out_only = 0
+        for seed in closure_seeds():
+            m = semigraphoid_closure(seed, kept)
+            expected = check_semigraphoid_reference(m)
+            assert check_semigraphoid(m) == expected
+            closed += not expected
+            violated_left_out_only += bool(expected) and {v.axiom for v in expected} == {left_out}
+        assert (closed, violated_left_out_only) == THREE_SCHEMATA_COUNTS[left_out]
+
+
+class TestSemigraphoidWalk:
+    """The ordered walk runs only on a model with a violation."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The models ``_semigraphoid_violations`` is called on, in call order."""
+        models, walk = [], represent._semigraphoid_violations
+
+        def counted(model):
+            models.append(model)
+            return walk(model)
+
+        monkeypatch.setattr(represent, "_semigraphoid_violations", counted)
+        return models
+
+    def test_induced_models_are_never_walked(self, walked):
+        models = [m for n in (1, 2, 3, 4) for m in dag_models(n)]
+        models += graph_models((1, 2, 3, 4)) + [restricted_counterexample()]
+        assert [check_semigraphoid(m) for m in models] == [[]] * len(models)
+        assert walked == []
+
+    def test_a_violated_model_is_walked_once(self, walked):
+        m = IndependencyModel(Universe(("a", "b")), frozenset({Triple(0b01, 0, 0b10)}))
+        assert check_semigraphoid(m) == check_semigraphoid_reference(m) != []
+        assert walked == [m]
 
 
 class TestResultInvariant:
