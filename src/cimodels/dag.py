@@ -9,7 +9,6 @@ node orders: arcs are acyclic iff some order of the nodes runs them all forward.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
@@ -198,20 +197,6 @@ def _orientation_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """
     both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges)
     return sorted({f & both for f in _forward_arc_masks(n)})
-
-
-def acyclic_orientations(
-    universe: Universe, edges: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, Dag]]:
-    """Yield ``(position, dag)`` for every acyclic orientation of ``edges``.
-
-    They come ascending by arc mask (see ``_orientation_masks``); ``position``
-    is the 1-based place in ``enumerate_dags`` order.
-    """
-    edges = UndirectedGraph(universe, edges).edges  # checks the skeleton as a graph
-    table = acyclic_arc_masks(universe.n)
-    for mask in _orientation_masks(universe.n, edges):
-        yield bisect_left(table, mask) + 1, dag_of_mask(universe, mask)
 
 
 def dag_of_mask(universe: Universe, mask: int) -> Dag:

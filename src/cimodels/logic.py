@@ -31,9 +31,9 @@ from .core import IndependencyModel, Triple, Universe, bits_of, key_places
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
-# Most valuation-atom checks model_satisfies and check_clause take on: the
+# Most valuation-node checks model_satisfies and check_clause take on: the
 # count of every valuation of the formula's variables, valid or not, times
-# its atoms. The one gate of the valuation engine; no call overrides it.
+# its nodes. The one gate of the valuation engine; no call overrides it.
 MAX_VALUATION_CHECKS = 1 << 24
 
 # Deepest nesting parse_formula accepts, and (by _check_depth) the deepest
@@ -431,12 +431,20 @@ def atoms_of(formula: Formula) -> tuple[Atom, ...]:
     Raises ``ValueError`` when an atom's term nests deeper than
     ``MAX_FORMULA_DEPTH``, before hashing the atom recurses down the term.
     """
+    return _atoms_and_size(formula)[0]
+
+
+def _atoms_and_size(formula: Formula) -> tuple[tuple[Atom, ...], int]:
+    """``atoms_of`` and the formula's node count: each connective and each
+    atom occurrence once, so one per closure ``_compile_truth`` builds."""
     # An explicit stack: a recursive inner function would be a reference
     # cycle, keeping each formula alive until the cycle collector runs.
     seen: dict[Atom, None] = {}
     stack = [formula]
+    size = 0
     while stack:
         f = stack.pop()
+        size += 1
         if isinstance(f, Atom):
             _check_depth(f)
             seen.setdefault(f, None)
@@ -444,7 +452,7 @@ def atoms_of(formula: Formula) -> tuple[Atom, ...]:
             stack.append(f.operand)
         else:
             stack += (f.right, f.left)
-    return tuple(seen)
+    return tuple(seen), size
 
 
 def term_variables(term: Term) -> set[str]:
@@ -552,14 +560,6 @@ def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) 
     return _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})(truths)
 
 
-def _check_budget(universe: Universe, var_count: int, atom_count: int) -> None:
-    cost = (1 << universe.n) ** var_count * max(1, atom_count)
-    if cost > MAX_VALUATION_CHECKS:
-        raise ValuationBudgetError(
-            f"{cost} valuation-atom checks exceed the budget of {MAX_VALUATION_CHECKS}"
-        )
-
-
 # The valuation engine. Every term is a Boolean combination of variables, so
 # whether one element lies in a term's value depends only on which of the
 # formula's variables contain it: the element's *pattern*, a bitmask over the
@@ -605,13 +605,17 @@ def model_satisfies(model: IndependencyModel, formula: Formula) -> bool:
     affect satisfaction). Vacuously true when no valid valuation exists.
     Raises ``ValuationBudgetError`` instead of silently truncating when the
     enumeration would cost more than ``MAX_VALUATION_CHECKS``: the cost counts
-    every valuation, valid or not, times the atoms, although only the valid
-    ones are enumerated.
+    every valuation, valid or not, times the formula's nodes (connectives and
+    atom occurrences), although only the valid ones are enumerated.
     Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
     """
     names = _sorted_names(_check_depth(formula))
-    atoms = atoms_of(formula)
-    _check_budget(model.universe, len(names), len(atoms))
+    atoms, size = _atoms_and_size(formula)
+    cost = (1 << model.universe.n) ** len(names) * size
+    if cost > MAX_VALUATION_CHECKS:
+        raise ValuationBudgetError(
+            f"{cost} valuation-node checks exceed the budget of {MAX_VALUATION_CHECKS}"
+        )
     digits = _allowed_digits(atoms, names)
     # columns[i]: each allowed pattern's per-atom key contributions at element i.
     places = key_places(model.universe.n)

@@ -19,7 +19,7 @@ from .core import (
     submasks,
     unpack_keys,
 )
-from .dag import Dag, _orientation_masks, acyclic_arc_masks, arc_bit, dag_of_mask
+from .dag import Dag, _forward_arc_masks, _orientation_masks, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -86,10 +86,15 @@ def dependent_always(model: IndependencyModel, alpha: int, beta: int) -> bool:
     return _first_separator(model, alpha, beta) is None
 
 
-def _skeleton_edges(model: IndependencyModel) -> list[tuple[int, int]]:
-    """The pairs ``(i, j)``, ``i < j``, that no triple of the model separates."""
-    pairs = combinations(range(model.universe.n), 2)
-    return [(i, j) for i, j in pairs if dependent_always(model, i, j)]
+def _skeleton(
+    model: IndependencyModel,
+) -> tuple[UndirectedGraph, dict[tuple[int, int], int | None]]:
+    """The graph joining the pairs with no separating set, together with each
+    pair ``(x, y)``, ``x < y``, mapped to its ``_first_separator``."""
+    n = model.universe.n
+    separators = {(x, y): _first_separator(model, x, y) for x, y in combinations(range(n), 2)}
+    edges = [pair for pair, sep in separators.items() if sep is None]
+    return UndirectedGraph(model.universe, edges), separators
 
 
 def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
@@ -102,7 +107,7 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     """
     n = model.universe.n
     order = disjoint_keys(n)  # the triple gate, before the skeleton is read
-    candidate = UndirectedGraph(model.universe, frozenset(_skeleton_edges(model)))
+    candidate, _ = _skeleton(model)
     differ = candidate.separation_model().keys ^ model.keys
     if not differ:
         return RepresentabilityResult(True, candidate, None)
@@ -125,12 +130,8 @@ def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
     return count == len(keys)
 
 
-def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
-    """Find the first DAG in enumeration order whose d-separation model is ``model``.
-
-    Returns the witness (or ``None``) together with its 1-based position in
-    ``enumerate_dags`` order; with no witness the count is the number of all
-    DAGs on the universe, every one of which is ruled out.
+def _causal_witness(model: IndependencyModel) -> Dag | None:
+    """The first DAG in enumeration order whose d-separation model is ``model``.
 
     At most one DAG is compared. A DAG's model leaves two nodes dependent
     under every conditioning set exactly when they are adjacent, so every DAG
@@ -146,39 +147,45 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
     ascending arc-mask order, is the first witness, or there is none.
     """
     n = model.universe.n
-    table = acyclic_arc_masks(n)  # the DAG gate, before any pair is read
-    separators = {(x, y): _first_separator(model, x, y) for x, y in combinations(range(n), 2)}
-    edges = [pair for pair, sep in separators.items() if sep is None]
-    adjacent = UndirectedGraph(model.universe, edges).neighbor_masks
+    _forward_arc_masks(n)  # the DAG gate, before any pair is read
+    skeleton, separators = _skeleton(model)
+    adjacent = skeleton.neighbor_masks
     rules = [  # (the arcs x -> z and y -> z, whether z is a collider)
         (1 << arc_bit(n, x, z) | 1 << arc_bit(n, y, z), not sep >> z & 1)
         for (x, y), sep in separators.items()
         if sep is not None
         for z in bits_of(adjacent[x] & adjacent[y])
     ]
-    first = next(
-        (
-            mask
-            for mask in _orientation_masks(n, edges)
-            if all((mask & arcs == arcs) == collider for arcs, collider in rules)
-        ),
-        None,
-    )
-    if first is not None:
-        dag = dag_of_mask(model.universe, first)
-        if _dag_induces(dag, model):
-            return dag, bisect_left(table, first) + 1
-    return None, len(table)
+    for mask in _orientation_masks(n, skeleton.edges):
+        if all((mask & arcs == arcs) == collider for arcs, collider in rules):
+            dag = dag_of_mask(model.universe, mask)
+            return dag if _dag_induces(dag, model) else None
+    return None
+
+
+def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
+    """The witness of ``is_causal`` (or ``None``) together with its 1-based
+    position in ``enumerate_dags`` order; with no witness the count is the
+    number of all DAGs on the universe, every one of which is ruled out.
+
+    Only the position and the count need the ``acyclic_arc_masks`` table.
+    """
+    n = model.universe.n
+    table = acyclic_arc_masks(n)  # the DAG gate, before any pair is read
+    witness = _causal_witness(model)
+    if witness is None:
+        return None, len(table)
+    return witness, bisect_left(table, sum(1 << arc_bit(n, u, v) for u, v in witness.arcs)) + 1
 
 
 def is_causal(model: IndependencyModel) -> RepresentabilityResult:
     """Decide whether some DAG's d-separation model equals ``model``.
 
     The witness is the first one in DAG enumeration order (see
-    ``scan_causal_witness``), so it is deterministic but only unique up to
-    equivalence of induced models.
+    ``_causal_witness``), so it is deterministic but only unique up to
+    equivalence of induced models. It is found without the table of all DAGs.
     """
-    witness, _ = scan_causal_witness(model)
+    witness = _causal_witness(model)
     return RepresentabilityResult(witness is not None, witness, None)
 
 

@@ -20,7 +20,7 @@ from cimodels.core import (
     enumerate_disjoint_triples,
     separated_keys,
 )
-from cimodels.dag import Dag, acyclic_orientations
+from cimodels.dag import Dag, acyclic_arc_masks
 from cimodels.logic import (
     EMPTY,
     And,
@@ -279,7 +279,8 @@ def dependent_always_by_triples(model, alpha: int, beta: int) -> bool:
 def scan_causal_witness_reference(model) -> tuple[Dag | None, int]:
     """``(witness, count)`` as ``represent.scan_causal_witness`` defines them,
     by comparing every acyclic orientation of the model's skeleton with the
-    model, in ``acyclic_orientations`` order.
+    model, in ascending arc-mask order: ``acyclic_orientations_by_product``
+    builds all ``2^|E|`` orientations and places them in ``acyclic_arc_masks``.
 
     The skeleton joins the pairs of singletons that no triple of the model
     relates, in either orientation. A DAG matches when the keys its
@@ -294,7 +295,9 @@ def scan_causal_witness_reference(model) -> tuple[Dag | None, int]:
         for i, j in combinations(range(n), 2)
         if (1 << i, 1 << j) not in related and (1 << j, 1 << i) not in related
     ]
-    for pos, dag in acyclic_orientations(model.universe, edges):
+    pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
+    for pos, mask in acyclic_orientations_by_product(n, edges, acyclic_arc_masks(n)):
+        dag = Dag(model.universe, frozenset(p for k, p in enumerate(pairs) if (mask >> k) & 1))
         held = 0
         for key in separated_keys(model.universe, dag._active_reach):
             if key not in keys:

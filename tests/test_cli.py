@@ -189,8 +189,8 @@ class TestFormula:
         assert "Traceback" not in captured.err
 
     def test_eval_over_the_valuation_budget(self, tmp_path, capsys):
-        # Five variables over five labels: (2**5)**5 valuations times two
-        # atoms is 2**26 checks, past the budget MAX_VALUATION_CHECKS = 2**24.
+        # Five variables over five labels: (2**5)**5 valuations times four
+        # nodes is 2**27 checks, past the budget MAX_VALUATION_CHECKS = 2**24.
         path = tmp_path / "five.txt"
         path.write_text("vars: a b c d e\nI a | - | b\n")
         text = "I(X1, X2, X3) -> I(X4, X5, X1)"
@@ -198,7 +198,7 @@ class TestFormula:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: 67108864 valuation-atom checks exceed the budget of 16777216\n"
+            "error: 134217728 valuation-node checks exceed the budget of 16777216\n"
         )
 
     def test_entails(self, model_file, capsys):

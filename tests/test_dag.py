@@ -4,6 +4,7 @@ import dataclasses
 import pickle
 import random
 import re
+from bisect import bisect_left
 from itertools import combinations
 
 import pytest
@@ -14,13 +15,13 @@ from cimodels.dag import (
     Dag,
     _arc_bit_layout,
     _forward_arc_masks,
+    _orientation_masks,
     acyclic_arc_masks,
-    acyclic_orientations,
     arc_bit,
     dag_of_mask,
     enumerate_dags,
 )
-from cimodels.represent import _skeleton_edges
+from cimodels.represent import _skeleton
 from cimodels.ugraph import UndirectedGraph
 
 from oracles import (
@@ -298,13 +299,17 @@ class TestDsepModel:
         assert Triple(0b001, 0b010, 0b100) not in m
 
 
+def skeleton_edges(model):
+    return sorted(_skeleton(model)[0].edges)
+
+
 class TestSkeleton:
     """Two nodes of a DAG are joined by an arc exactly when no conditioning
     set d-separates them, so the model's skeleton is the DAG's."""
 
     def test_examples(self):
-        assert _skeleton_edges(collider().dsep_model()) == [(0, 1), (1, 2)]
-        skeleton = _skeleton_edges(counterexample_dag().dsep_model())
+        assert skeleton_edges(collider().dsep_model()) == [(0, 1), (1, 2)]
+        skeleton = skeleton_edges(counterexample_dag().dsep_model())
         assert skeleton == [(0, 2), (0, 3), (1, 2), (3, 4)]
         assert (2, 3) not in skeleton
 
@@ -322,7 +327,7 @@ class TestSkeleton:
                         break
                     c = (c - 1) & others
             arcs = sorted((min(arc), max(arc)) for arc in d.arcs)
-            assert _skeleton_edges(d.dsep_model()) == arcs == never_separated
+            assert skeleton_edges(d.dsep_model()) == arcs == never_separated
 
 
 class TestEnumeration:
@@ -378,7 +383,7 @@ class TestEnumeration:
         builds = [lambda: _forward_arc_masks(n), lambda: acyclic_arc_masks(n)]
         if n > 0:
             message = f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes"
-            builds.append(lambda: next(acyclic_orientations(universe_of_size(n), [(0, 1)])))
+            builds.append(lambda: _orientation_masks(n, [(0, 1)]))
         else:
             message = f"no DAGs on a negative number of nodes, got {n}"
         for build in builds:
@@ -403,11 +408,8 @@ class TestAcyclicOrientations:
 
     @staticmethod
     def cut(n, edges):
-        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
-        return [
-            (pos, sum(1 << pairs.index(arc) for arc in dag.arcs))
-            for pos, dag in acyclic_orientations(universe_of_size(n), edges)
-        ]
+        table = acyclic_arc_masks(n)
+        return [(bisect_left(table, mask) + 1, mask) for mask in _orientation_masks(n, edges)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_skeleton_up_to_four_nodes(self, n):
@@ -425,10 +427,3 @@ class TestAcyclicOrientations:
         for edges in skeletons:
             assert self.cut(5, edges) == acyclic_orientations_by_product(5, edges, table)
         assert len(self.cut(5, pairs)) == 120
-
-    def test_edges_are_checked(self):
-        u = universe_of_size(3)
-        with pytest.raises(ValueError, match="self-loop at node 1"):
-            next(acyclic_orientations(u, [(1, 1)]))
-        with pytest.raises(ValueError, match=re.escape("edge (0, 3) outside the 3-label")):
-            next(acyclic_orientations(u, iter([(0, 1), (0, 3)])))

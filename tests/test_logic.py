@@ -64,9 +64,9 @@ from oracles import (
 
 SYMMETRY = "I(X1, X2, X3) -> I(X3, X2, X1)"
 
-# Past the valuation budget by one doubling: three variables over eight labels
-# are (2**8)**3 = MAX_VALUATION_CHECKS valuations, times the rule's two atoms.
-OVER_BUDGET = "33554432 valuation-atom checks exceed the budget of 16777216"
+# Past the valuation budget by two doublings: three variables over eight labels
+# are (2**8)**3 = MAX_VALUATION_CHECKS valuations, times the rule's four nodes.
+OVER_BUDGET = "67108864 valuation-node checks exceed the budget of 16777216"
 
 
 def full_model(n):
@@ -555,12 +555,32 @@ class TestModelSatisfies:
         assert not model_satisfies(lacks, f)
 
     def test_budget_at_the_constant(self):
-        # One atom over three variables on eight labels costs the budget exactly.
+        # One atom over three variables on eight labels costs the budget
+        # exactly; one node more, its negation, costs it twice.
         m = full_model(8)
+        atom = parse_formula("I(X1, X2, X3)")
         assert (1 << 8) ** 3 == MAX_VALUATION_CHECKS
-        assert model_satisfies(m, parse_formula("I(X1, X2, X3)"))
+        assert model_satisfies(m, atom)
+        twice = "33554432 valuation-node checks exceed the budget of 16777216"
+        with pytest.raises(ValuationBudgetError, match=f"^{twice}$"):
+            model_satisfies(m, Not(atom))
         with pytest.raises(ValuationBudgetError, match=f"^{OVER_BUDGET}$"):
             model_satisfies(m, parse_formula(SYMMETRY))
+
+    def test_budget_counts_formula_nodes(self):
+        # Every valuation runs one closure per node, so 64 copies of one atom
+        # over two variables cost 127 times the atom: refused over nine
+        # labels, where the atom alone costs 4**9 checks and answers.
+        atom = parse_formula("I(X1 * X2, X1 * ~X2, ~X1 * X2)")
+        copies = [atom] * 64
+        while len(copies) > 1:
+            copies = [And(left, right) for left, right in zip(copies[::2], copies[1::2])]
+        empty9 = IndependencyModel(universe_of_size(9), frozenset())
+        assert not model_satisfies(empty9, atom)
+        over = f"{4**9 * 127} valuation-node checks exceed the budget of 16777216"
+        with pytest.raises(ValuationBudgetError, match=f"^{over}$"):
+            model_satisfies(empty9, copies[0])
+        assert not model_satisfies(IndependencyModel(universe_of_size(8), frozenset()), copies[0])
 
     def test_conjunction_introduction(self):
         rng = random.Random(53)
@@ -665,10 +685,10 @@ class TestClauses:
     def test_budget_at_the_constant(self):
         assert check_clause(full_model(8), parse_clause("I(X1, X2, X3)"))
 
-    def test_budget_counts_every_valuation_times_atoms(self):
+    def test_budget_counts_every_valuation_times_nodes(self):
         # The symmetry rule over eight labels has only 4**8 valid valuations,
-        # yet costs all (2**8)**3 valuations times its two atoms. Over seven
-        # labels it costs a quarter of the budget, and holds in the full model.
+        # yet costs all (2**8)**3 valuations times its four nodes. Over seven
+        # labels it costs half the budget, and holds in the full model.
         with pytest.raises(ValuationBudgetError, match=f"^{OVER_BUDGET}$"):
             check_clause(full_model(8), parse_clause(SYMMETRY))
         assert check_clause(full_model(7), parse_clause(SYMMETRY))

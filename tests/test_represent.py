@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from cimodels import represent
+from cimodels import dag, represent
 from cimodels.core import (
     MAX_TRIPLE_ENUM_NODES,
     IndependencyModel,
@@ -20,7 +20,7 @@ from cimodels.dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, enumerate_d
 from cimodels.logic import model_satisfies, parse_formula
 from cimodels.represent import (
     SEMIGRAPHOID_AXIOM_FORMULAS,
-    _skeleton_edges,
+    _skeleton,
     check_semigraphoid,
     dependent_always,
     is_causal,
@@ -165,6 +165,21 @@ class TestIsCausal:
         with pytest.raises(ValueError):
             is_causal(m)
 
+    def test_answers_without_the_dag_table(self, monkeypatch):
+        # Only scan_causal_witness's position needs the table of all DAGs.
+        models = dag_models(1) + dag_models(2) + dag_models(3) + dag_models(4)
+        models += graph_models((1, 2, 3, 4)) + [cycle_model(5)]
+        expected = [scan_causal_witness(m)[0] for m in models]
+
+        def refuse(n):
+            raise AssertionError("the table of all DAGs was built")
+
+        monkeypatch.setattr(represent, "acyclic_arc_masks", refuse)
+        monkeypatch.setattr(dag, "acyclic_arc_masks", refuse)
+        for m, witness in zip(models, expected):
+            result = is_causal(m)
+            assert (result.representable, result.witness) == (witness is not None, witness)
+
 
 class TestGateBeforeWork:
     """One label past its enumerator's gate, a check raises that gate's
@@ -182,8 +197,9 @@ class TestGateBeforeWork:
         [
             (is_graph_isomorph, disjoint_keys, MAX_TRIPLE_ENUM_NODES + 1),
             (scan_causal_witness, acyclic_arc_masks, MAX_DAG_ENUM_NODES + 1),
+            (is_causal, dag._forward_arc_masks, MAX_DAG_ENUM_NODES + 1),
         ],
-        ids=["graph-check", "causal-scan"],
+        ids=["graph-check", "causal-scan", "causal-check"],
     )
     def test_gate_first(self, check, gate, n):
         with pytest.raises(ValueError) as raised:
@@ -252,7 +268,9 @@ class TestSkeletonPrunedScan:
                 m = random_model(rng, u, p=rng.uniform(0.05, 0.5))
                 pairs = list(combinations(range(n), 2))
                 expected = [(i, j) for i, j in pairs if dependent_always_by_triples(m, i, j)]
-                assert _skeleton_edges(m) == expected
+                graph, separators = _skeleton(m)
+                assert sorted(graph.edges) == expected
+                assert [pair for pair, sep in separators.items() if sep is None] == expected
                 assert [(i, j) for i, j in pairs if dependent_always(m, i, j)] == expected
 
 
@@ -324,6 +342,14 @@ class TestColliderRuleScan:
             witness, count = scan_causal_witness(m)
             assert witness == expected and count == expected_count
             assert len(compared) <= 1
+
+    @pytest.mark.parametrize("group", list(SCAN_MODEL_GROUPS))
+    def test_is_causal_returns_the_scan_witness(self, group, compared):
+        for m in SCAN_MODEL_GROUPS[group](random.Random(18)):
+            compared.clear()
+            witness = is_causal(m).witness
+            assert len(compared) <= 1
+            assert witness == scan_causal_witness(m)[0]
 
     @pytest.mark.parametrize(
         "build, count",
