@@ -2,23 +2,23 @@
 
 Exit codes: 0 for an affirmative decision or plain success, 1 for a negative
 decision, 2 for usage or input errors.
+
+Each handler imports the library modules it runs, so a command loads only
+those: ``enum`` and the ``graph``/``dag`` queries load neither the logic nor
+the recognizers, ``model check`` no logic, ``formula`` no recognizer.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import json
 import sys
 from functools import cache
 from pathlib import Path
 
 from . import formats
-from .core import Universe
+from .core import Universe, ValuationBudgetError
 from .dag import acyclic_arc_masks, enumerate_dags
-from .logic import ValuationBudgetError, entails, model_satisfies, parse_formula
-from .represent import check_semigraphoid, is_causal, is_graph_isomorph
-from .repro import verify_counterexample
 
 
 @cache
@@ -140,6 +140,8 @@ def _run_model(args: argparse.Namespace) -> int:
         v_mask = formats.parse_set(model.universe, args.vars)
         _emit(formats.format_model(model.restrict(v_mask)), args.out)
         return 0
+    from .represent import check_semigraphoid, is_causal, is_graph_isomorph
+
     if args.model_class == "causal":
         return _decide("CAUSAL", "NOT CAUSAL", is_causal(model).representable)
     if args.model_class == "graph-isomorph":
@@ -167,6 +169,8 @@ def _formula_text(arg: str) -> str:
 
 
 def _run_formula(args: argparse.Namespace) -> int:
+    from .logic import entails, model_satisfies, parse_formula
+
     if args.subcommand == "eval":
         model = formats.load_model(args.model)
         formula = parse_formula(_formula_text(args.formula))
@@ -191,8 +195,12 @@ def _run_enum(args: argparse.Namespace) -> int:
 
 
 def _run_repro(args: argparse.Namespace) -> int:
+    from .repro import verify_counterexample
+
     report = verify_counterexample()
     if args.json:
+        import json
+
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for name, holds in report.statements_checked:

@@ -167,6 +167,14 @@ def _check_triple_gate(n: int) -> None:
         )
 
 
+class ValuationBudgetError(RuntimeError):
+    """Raised when exhaustive valuation enumeration would exceed the budget.
+
+    The budget is ``logic.MAX_VALUATION_CHECKS``; the class lives here, with
+    the other gates, so that catching it loads no formula code.
+    """
+
+
 def disjoint_keys(n: int) -> Iterator[int]:
     """The keys of the ``4**n`` disjoint triples, in ``enumerate_disjoint_triples`` order.
 

@@ -27,7 +27,7 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe, bits_of, key_places
+from .core import IndependencyModel, Triple, Universe, ValuationBudgetError, bits_of, key_places
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
@@ -52,10 +52,6 @@ class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, index: int):
         super().__init__(f"{message} (at offset {index + 1})")
         self.position = index + 1
-
-
-class ValuationBudgetError(RuntimeError):
-    """Raised when exhaustive valuation enumeration would exceed the budget."""
 
 
 # Terms

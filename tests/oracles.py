@@ -78,6 +78,38 @@ def graph_adjacency(graph) -> dict[int, set[int]]:
     return adj
 
 
+def is_chordal(graph) -> bool:
+    """Whether every cycle of four or more nodes in ``graph`` has a chord.
+
+    Deletes simplicial nodes (whose remaining neighbours are pairwise
+    adjacent) one at a time: a graph is chordal exactly when this deletes
+    every node (Fulkerson & Gross 1965).
+    """
+    adj = graph_adjacency(graph)
+    remaining = set(adj)
+    while remaining:
+        simplicial = [
+            v
+            for v in remaining
+            if all(y in adj[x] for x, y in combinations(adj[v] & remaining, 2))
+        ]
+        if not simplicial:
+            return False
+        remaining.remove(simplicial[0])
+    return True
+
+
+def has_v_structure(dag) -> bool:
+    """Whether ``dag`` has arcs ``x -> z <- y`` with ``x`` and ``y`` non-adjacent."""
+    arcs = set(dag.arcs)
+    parents = {z: [u for u, v in arcs if v == z] for z in range(dag.universe.n)}
+    return any(
+        (x, y) not in arcs and (y, x) not in arcs
+        for z in parents
+        for x, y in combinations(parents[z], 2)
+    )
+
+
 def reachable_by_search(adjacency: dict[int, set[int]], start: int, removed: int) -> int:
     """Nodes reached from ``start`` by a set-based search that skips ``removed``.
 

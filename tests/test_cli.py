@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, and diagnostics."""
 
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -396,6 +397,68 @@ class TestEntryPoints:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: refusing to enumerate DAGs on 6 > 5 nodes\n"
+
+
+# Runs one command in a fresh interpreter that has ``src`` (argv[1]) first on
+# its path and no site-packages, then names on stderr the watched modules it
+# left loaded.
+LOADED_CODE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cimodels, cimodels.cli
+code = cimodels.cli.main(sys.argv[2:])
+watched = ("cimodels.logic", "cimodels.represent", "cimodels.repro", "json")
+print(code, *(name for name in watched if name in sys.modules), file=sys.stderr)
+"""
+
+# sha256 of the report ``repro counterexample --json`` printed when the CLI
+# still imported every module at start-up.
+REPRO_JSON_SHA256 = "c4ea1158faeeaa661982e6d6d07242f870859529962e002d03b8104dadf704dd"
+
+
+def run_isolated(argv):
+    """Exit code, watched modules loaded, and stdout of one isolated command."""
+    src = str(Path(cimodels.__file__).resolve().parents[1])
+    argv = [sys.executable, "-I", "-S", "-c", LOADED_CODE, src, *argv]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    code, *loaded = done.stderr.split()
+    return int(code), set(loaded), done.stdout
+
+
+class TestImportsPerCommand:
+    """Each command loads only the modules it runs, and prints what it printed
+    with every module loaded (in this process)."""
+
+    @pytest.mark.parametrize(
+        ("argv", "loaded"),
+        [
+            (["enum", "dags", "--n", "4", "--count"], set()),
+            (["dag", "model", "--dag", "{dag}"], set()),
+            (["graph", "sep", "--graph", "{graph}", "--A", "a", "--C", "b", "--B", "c"], set()),
+            (["model", "restrict", "--model", "{model}", "--vars", "a"], set()),
+            (["model", "check", "--model", "{model}", "--class", "causal"], {"cimodels.represent"}),
+            (["model", "check", "--model", "{model}", "--class", "semigraphoid"], {"cimodels.represent"}),
+            (["formula", "eval", "--model", "{model}", "--formula", "I(a, empty, b)"], {"cimodels.logic"}),
+            (
+                ["formula", "entails", "--family", "causal", "--given", "{model}", "--query", "b | - | a"],
+                {"cimodels.logic"},
+            ),
+            (["repro", "counterexample"], {"cimodels.represent", "cimodels.repro"}),
+        ],
+    )
+    def test_command_loads_only_what_it_runs(
+        self, argv, loaded, dag_file, graph_file, model_file, capsys
+    ):
+        files = {"{dag}": str(dag_file), "{graph}": str(graph_file), "{model}": str(model_file)}
+        argv = [files.get(arg, arg) for arg in argv]
+        code, modules, out = run_isolated(argv)
+        assert modules == loaded
+        assert (code, out) == (main(argv), capsys.readouterr().out)
+
+    def test_repro_json_is_unchanged(self):
+        code, modules, out = run_isolated(["repro", "counterexample", "--json"])
+        assert (code, modules) == (0, {"cimodels.represent", "cimodels.repro", "json"})
+        assert hashlib.sha256(out.encode()).hexdigest() == REPRO_JSON_SHA256
 
 
 def library_error(call, *args):

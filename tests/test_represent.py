@@ -35,6 +35,8 @@ from oracles import (
     check_semigraphoid_reference,
     dag_count,
     dependent_always_by_triples,
+    has_v_structure,
+    is_chordal,
     random_model,
     scan_causal_witness_reference,
     semigraphoid_closure,
@@ -575,3 +577,44 @@ class TestResultInvariant:
             m = random_model(rng, u, p=0.3, symmetric=True)
             for result in (is_graph_isomorph(m), is_causal(m)):
                 assert result.representable == (result.witness is not None)
+
+
+class TestChordalEquivalence:
+    """A model is a DAG's and a graph's exactly when it is a chordal graph's
+    (Pearl 1988, ch. 3; Frydenberg 1990), checked both ways against oracles
+    that read only the structure."""
+
+    def test_graph_model_is_causal_iff_the_graph_is_chordal(self):
+        chordal_counts = []
+        for n in range(1, 6):
+            graphs = list(enumerate_undirected_graphs(universe_of_size(n)))
+            assert len(graphs) == 2 ** (n * (n - 1) // 2)
+            for g in graphs:
+                assert is_causal(g.separation_model()).representable == is_chordal(g), g.edges
+            chordal_counts.append(sum(map(is_chordal, graphs)))
+        assert chordal_counts == [1, 2, 8, 61, 822]  # OEIS A058862
+
+    def test_dag_model_is_graph_isomorph_iff_no_v_structure(self):
+        for n in range(1, 5):
+            dags = list(enumerate_dags(universe_of_size(n)))
+            assert len(dags) == dag_count(n)
+            for d in dags:
+                representable = is_graph_isomorph(d.dsep_model()).representable
+                assert representable == (not has_v_structure(d)), d.arcs
+
+
+class TestLeastSize:
+    def test_every_three_label_restriction_of_a_four_node_dag_model_is_causal(self):
+        """Hiding one node of a 4-node DAG leaves a 3-node DAG's model, so 4
+        labels, the counterexample's size, is the least at which a
+        restriction can fail to be causal."""
+        u4, u3 = universe_of_size(4), universe_of_size(3)
+        restricted = {}
+        for d in enumerate_dags(u4):
+            model = d.dsep_model()
+            for hidden in range(4):
+                sub = model.restrict(0b1111 ^ 1 << hidden)
+                restricted.setdefault(sub.keys, sub)
+        assert len(restricted) == 11
+        assert all(is_causal(sub).representable for sub in restricted.values())
+        assert restricted.keys() == {d.dsep_model().keys for d in enumerate_dags(u3)}
