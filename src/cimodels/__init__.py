@@ -107,65 +107,24 @@ def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
 
 
+# The names imported above, then every lazy name but the modules themselves.
 __all__ = [
     "MAX_UNIVERSE_SIZE",
     "MAX_TRIPLE_ENUM_NODES",
     "MAX_DAG_ENUM_NODES",
     "MAX_GRAPH_ENUM_NODES",
-    "MAX_VALUATION_CHECKS",
-    "MAX_FORMULA_DEPTH",
     "Universe",
     "Triple",
     "IndependencyModel",
     "UndirectedGraph",
     "Dag",
-    "RepresentabilityResult",
-    "AxiomViolation",
-    "ReproReport",
-    "Atom",
-    "Clause",
-    "Formula",
-    "Term",
-    "Var",
-    "Empty",
-    "EMPTY",
-    "Complement",
-    "Union_",
-    "Intersection",
-    "Not",
-    "And",
-    "Or",
-    "implies",
-    "atoms_of",
-    "formula_variables",
-    "Valuation",
     "FormatError",
-    "FormulaSyntaxError",
     "ValuationBudgetError",
-    "SEMIGRAPHOID_AXIOM_FORMULAS",
     "bits_of",
     "enumerate_disjoint_triples",
     "model_equals",
     "enumerate_dags",
     "enumerate_undirected_graphs",
-    "dependent_always",
-    "is_graph_isomorph",
-    "is_causal",
-    "scan_causal_witness",
-    "check_semigraphoid",
-    "parse_formula",
-    "parse_clause",
-    "format_formula",
-    "format_term",
-    "eval_term",
-    "is_valid_valuation",
-    "satisfies",
-    "model_satisfies",
-    "check_clause",
-    "is_horn",
-    "entails",
-    "clause_of_formula",
-    "formula_of_clause",
     "parse_model",
     "parse_graph",
     "parse_dag",
@@ -175,6 +134,5 @@ __all__ = [
     "load_model",
     "load_graph",
     "load_dag",
-    "build_counterexample_dag",
-    "verify_counterexample",
+    *(name for name, module in _LAZY.items() if name != module),
 ]

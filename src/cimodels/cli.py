@@ -108,7 +108,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _decide(label_true: str, label_false: str, outcome: bool) -> int:

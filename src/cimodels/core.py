@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, starmap
+from itertools import product, repeat, starmap
+from operator import lshift, or_
 from typing import Callable, Iterable, Iterator
 
 MAX_UNIVERSE_SIZE = 16
@@ -147,6 +148,12 @@ def pack_key(n: int, a: int, c: int, b: int) -> int:
     return a << 2 * n | c << n | b
 
 
+def pack_keys(n: int, a: Iterable[int], c: Iterable[int], b: Iterable[int]) -> Iterator[int]:
+    """``pack_key`` over three mask columns, one ``map`` per step and no call per key."""
+    ac = map(or_, map(lshift, a, repeat(2 * n)), map(lshift, c, repeat(n)))
+    return map(or_, ac, b)
+
+
 def unpack_keys(n: int, keys: Iterable[int]) -> Iterator[tuple[int, int, int]]:
     """The ``(a, c, b)`` sets of each ``n``-label packed key, in the order given."""
     mask = (1 << n) - 1
@@ -207,8 +214,7 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     the union of two rows already tabled, its lowest member's and the rest's.
     The table grows with the keys yielded; no rest holds label 0, so the row
     of an ``a`` holding label 0 and more is dropped after its ``c`` loop. The
-    empty ``a`` comes last: every induced model holds its triples, so they
-    tell an early-exit comparison nothing. Gated at ``MAX_TRIPLE_ENUM_NODES``.
+    empty ``a`` comes last. Gated at ``MAX_TRIPLE_ENUM_NODES``.
     """
     _check_triple_gate(universe.n)
     full, n = universe.full_mask, universe.n

@@ -25,11 +25,11 @@ DAG file::
 from __future__ import annotations
 
 from itertools import repeat
-from operator import and_, lshift, or_
+from operator import and_
 from pathlib import Path
 from typing import Iterator, NoReturn
 
-from .core import IndependencyModel, Triple, Universe, check_disjoint, pack_key, unpack_keys
+from .core import IndependencyModel, Triple, Universe, check_disjoint, pack_key, pack_keys, unpack_keys
 from .dag import Dag
 from .ugraph import UndirectedGraph
 
@@ -166,8 +166,8 @@ def _column_keys(text: str) -> tuple[Universe, frozenset[int]] | None:
     each hold two bars; joined and split at the bars, they give the head
     (``I <a> ``), ``c`` and ``b`` columns. Each distinct head is checked for
     its ``I `` and each distinct set text parsed once per call; the
-    disjointness checks and the keys are ``map``s over the mask columns, and
-    a repeated triple leaves fewer keys than lines.
+    disjointness checks are ``map``s over the mask columns, ``core.pack_keys``
+    packs them, and a repeated triple leaves fewer keys than lines.
     """
     lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
     try:
@@ -199,9 +199,7 @@ def _column_keys(text: str) -> tuple[Universe, frozenset[int]] | None:
     del heads, cs, bs
     if any(map(and_, a, c)) or any(map(and_, a, b)) or any(map(and_, c, b)):
         return None
-    n = universe.n
-    ac = map(or_, map(lshift, a, repeat(2 * n)), map(lshift, c, repeat(n)))
-    keys = frozenset(map(or_, ac, b))
+    keys = frozenset(pack_keys(universe.n, a, c, b))
     return (universe, keys) if len(keys) == len(a) else None
 
 
@@ -313,7 +311,7 @@ def format_dag(dag: Dag) -> str:
 def read_text(path: str | Path) -> str:
     """The text of the file at ``path``; undecodable bytes raise ``FormatError`` naming it."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(str(exc), source=str(Path(path))) from None
 

@@ -13,9 +13,9 @@ from .core import (
     Triple,
     bits_of,
     disjoint_keys,
+    model_equals,
     pack_key,
     semigraphoid_closed,
-    separated_keys,
     submasks,
     unpack_keys,
 )
@@ -115,21 +115,6 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     return RepresentabilityResult(False, None, Triple(*next(unpack_keys(n, [first]))))
 
 
-def _dag_induces(dag: Dag, model: IndependencyModel) -> bool:
-    """True iff ``dag``'s d-separation model is ``model``.
-
-    Stops at the first separated triple ``model`` lacks; with none missing,
-    the two are equal exactly when they have as many triples.
-    """
-    keys = model.keys
-    count = 0
-    for k in separated_keys(model.universe, dag._active_reach):
-        if k not in keys:
-            return False
-        count += 1
-    return count == len(keys)
-
-
 def _causal_witness(model: IndependencyModel) -> Dag | None:
     """The first DAG in enumeration order whose d-separation model is ``model``.
 
@@ -159,7 +144,7 @@ def _causal_witness(model: IndependencyModel) -> Dag | None:
     for mask in _orientation_masks(n, skeleton.edges):
         if all((mask & arcs == arcs) == collider for arcs, collider in rules):
             dag = dag_of_mask(model.universe, mask)
-            return dag if _dag_induces(dag, model) else None
+            return dag if model_equals(dag.dsep_model(), model) else None
     return None
 
 

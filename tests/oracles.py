@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 from cimodels.core import (
@@ -108,6 +108,23 @@ def has_v_structure(dag) -> bool:
         for z in parents
         for x, y in combinations(parents[z], 2)
     )
+
+
+def weak_transitivity_holds(model) -> bool:
+    """Whether ``model`` keeps singleton weak transitivity (Pearl 1988, ch. 3):
+    for distinct labels ``x``, ``y``, ``w`` and a set ``c`` holding none of
+    them, ``(x, c, y)`` and ``(x, c + w, y)`` bring ``(x, c, w)`` or
+    ``(w, c, y)``. Reads the model's triples as plain ``(a, c, b)`` tuples."""
+    held = {(t.a, t.c, t.b) for t in model.triples}
+    n = model.universe.n
+    for x, y, w in permutations(range(n), 3):
+        sx, sy, sw = 1 << x, 1 << y, 1 << w
+        for c in range(1 << n):
+            if c & (sx | sy | sw) or (sx, c, sy) not in held or (sx, c | sw, sy) not in held:
+                continue
+            if (sx, c, sw) not in held and (sw, c, sy) not in held:
+                return False
+    return True
 
 
 def reachable_by_search(adjacency: dict[int, set[int]], start: int, removed: int) -> int:

@@ -398,6 +398,24 @@ class TestEntryPoints:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: refusing to enumerate DAGs on 6 > 5 nodes\n"
 
+    def test_files_are_utf8_in_the_c_locale(self, tmp_path):
+        # An ASCII locale with UTF-8 mode off: a default encoding would be
+        # ASCII, and each use of one raises EncodingWarning as an error.
+        src = str(Path(cimodels.__file__).resolve().parents[1])
+        dag, model = tmp_path / "u.dag", tmp_path / "u.model"
+        dag.write_bytes("vars: α b c\nα -> c\nb -> c\n".encode())
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from cimodels.cli import main; "
+            "main(['dag', 'model', '--dag', sys.argv[2], '--out', sys.argv[3]]); "
+            "raise SystemExit(main(['model', 'check', '--model', sys.argv[3], '--class', 'causal']))"
+        )
+        flags = ["-X", "utf8=0", "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        argv = [sys.executable, "-I", "-S", *flags, "-c", code, src, str(dag), str(model)]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "CAUSAL\n", "")
+        assert model.read_text(encoding="utf-8").startswith("vars: α b c\n")
+
 
 # Runs one command in a fresh interpreter that has ``src`` (argv[1]) first on
 # its path and no site-packages, then names on stderr the watched modules it

@@ -7,7 +7,7 @@ from itertools import islice
 
 import pytest
 
-from cimodels.core import enumerate_disjoint_triples
+from cimodels.core import enumerate_disjoint_triples, model_equals
 from cimodels.dag import Dag, enumerate_dags
 from cimodels.represent import is_causal
 
@@ -31,10 +31,8 @@ def test_partitioned_scan_agrees_with_is_causal():
     quarters = [dags[i::4] for i in range(4)]
 
     def first_match(chunk):
-        from cimodels.represent import _dag_induces
-
         for d in chunk:
-            if _dag_induces(d, model):
+            if model_equals(d.dsep_model(), model):
                 return d
         return None
 

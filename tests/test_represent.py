@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import combinations
+from itertools import combinations, starmap
 
 import pytest
 
@@ -42,6 +42,7 @@ from oracles import (
     semigraphoid_closure,
     semigraphoid_violations_by_placements,
     universe_of_size,
+    weak_transitivity_holds,
 )
 
 
@@ -326,14 +327,14 @@ class TestColliderRuleScan:
 
     @pytest.fixture
     def compared(self, monkeypatch):
-        """The DAGs ``_dag_induces`` is called on, in call order."""
-        dags, induces = [], represent._dag_induces
+        """The DAGs whose ``dsep_model`` is built, in call order."""
+        dags, dsep_model = [], Dag.dsep_model
 
-        def counted(dag, model):
+        def counted(dag):
             dags.append(dag)
-            return induces(dag, model)
+            return dsep_model(dag)
 
-        monkeypatch.setattr(represent, "_dag_induces", counted)
+        monkeypatch.setattr(Dag, "dsep_model", counted)
         return dags
 
     @pytest.mark.parametrize("group", list(SCAN_MODEL_GROUPS))
@@ -363,7 +364,9 @@ class TestColliderRuleScan:
         ids=["paper-R", "4-cycle", "5-cycle"],
     )
     def test_no_orientation_passes_the_rule(self, build, count, compared):
-        assert scan_causal_witness(build()) == (None, count)
+        model = build()
+        compared.clear()
+        assert scan_causal_witness(model) == (None, count)
         assert compared == []
 
 
@@ -618,3 +621,47 @@ class TestLeastSize:
         assert len(restricted) == 11
         assert all(is_causal(sub).representable for sub in restricted.values())
         assert restricted.keys() == {d.dsep_model().keys for d in enumerate_dags(u3)}
+
+
+# Two schemata every DAG model keeps beyond the semi-graphoid ones (Pearl
+# 1988, ch. 3); the third, weak transitivity, is checked by an oracle.
+GRAPHOID_SCHEMA_FORMULAS = {
+    "intersection": "I(X1, X2 + X3, X4) & I(X1, X2 + X4, X3) -> I(X1, X2, X3 + X4)",
+    "composition": "I(X1, X2, X3) & I(X1, X2, X4) -> I(X1, X2, X3 + X4)",
+}
+
+
+def graphoid_profile(model):
+    """Whether ``model`` keeps intersection, composition and weak transitivity."""
+    kept = [model_satisfies(model, parse_formula(t)) for t in GRAPHOID_SCHEMA_FORMULAS.values()]
+    return [*kept, weak_transitivity_holds(model)]
+
+
+class TestGraphoidProfile:
+    """The counterexample keeps every schema the repo checks, as every DAG
+    model does, and is still not causal: the gap lies past these axioms."""
+
+    def test_the_counterexample_keeps_all_three_and_is_not_causal(self):
+        m = restricted_counterexample()
+        assert len(m) == 164
+        assert graphoid_profile(m) == [True, True, True]
+        assert not is_causal(m).representable
+
+    def test_every_four_node_dag_model_keeps_all_three(self):
+        models = dag_models(4)
+        assert len(models) == 185
+        for m in models:
+            assert graphoid_profile(m) == [True, True, True], sorted(m.keys)
+
+    @pytest.mark.parametrize(
+        "triples, profile",
+        [
+            ([(0b001, 0b100, 0b010), (0b001, 0b010, 0b100)], [False, True, True]),
+            ([(0b001, 0, 0b010), (0b001, 0, 0b100)], [True, False, True]),
+            ([(0b001, 0, 0b010), (0b001, 0b100, 0b010)], [True, True, False]),
+        ],
+        ids=["intersection", "composition", "weak-transitivity"],
+    )
+    def test_each_schema_fails_on_a_small_model(self, triples, profile):
+        m = IndependencyModel(Universe(("a", "b", "c")), frozenset(starmap(Triple, triples)))
+        assert graphoid_profile(m) == profile
