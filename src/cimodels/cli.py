@@ -106,7 +106,12 @@ def _add_set_args(sub: argparse.ArgumentParser) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)  # encodes the whole text before writing any of it
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start:exc.end]
+            message = f"stdout ({exc.encoding}) cannot encode {bad!r}; --out writes UTF-8"
+            raise ValueError(message) from None
     else:
         Path(out).write_text(text, encoding="utf-8")
 

@@ -10,7 +10,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import product, repeat, starmap
 from operator import lshift, or_
 from typing import Callable, Iterable, Iterator
@@ -48,7 +48,8 @@ class Universe:
     """An ordered list of distinct variable labels.
 
     The position of a label is its bit index in every mask interpreted
-    against this universe.
+    against this universe. ``n`` and ``full_mask``, read on every reach, are
+    plain attributes set once from ``names``; only ``names`` is a field.
     """
 
     names: tuple[str, ...]
@@ -64,31 +65,27 @@ class Universe:
             raise ValueError("labels must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValueError("labels must be pairwise distinct")
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
+        object.__setattr__(self, "n", len(names))
+        object.__setattr__(self, "full_mask", (1 << len(names)) - 1)
 
     @cached_property
-    def _positions(self) -> dict[str, int]:
-        """Each label's bit index, built on first use: the one label lookup."""
-        return {label: i for i, label in enumerate(self.names)}
+    def _bits(self) -> dict[str, int]:
+        """Each label's one-bit mask, built on first use: the one label lookup."""
+        return {label: 1 << i for i, label in enumerate(self.names)}
 
     def index(self, label: str) -> int:
         try:
-            return self._positions[label]
+            return self._bits[label].bit_length() - 1
         except (KeyError, TypeError):  # TypeError: an unhashable label
             raise ValueError(f"unknown label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
-        mask = 0
-        for label in labels:
-            mask |= 1 << self.index(label)
-        return mask
+        try:
+            return reduce(or_, map(self._bits.__getitem__, labels), 0)
+        except KeyError as exc:
+            raise ValueError(f"unknown label {exc.args[0]!r}") from None
+        except TypeError as exc:  # an unhashable label, not named by the lookup
+            raise ValueError(f"unknown label: {exc}") from None
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
         self.check_mask(mask)
@@ -166,6 +163,13 @@ def key_places(n: int) -> list[tuple[int, int, int, int]]:
     return [(0, pack_key(n, x, 0, 0), pack_key(n, 0, x, 0), pack_key(n, 0, 0, x)) for x in bits]
 
 
+@cache
+def _submask_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """``tuple(submasks(m))`` for every ``m < 2**n``: ``3**n`` entries in all."""
+    ints = list(range(1 << n))  # one int object per mask, shared by every row
+    return tuple(tuple(map(ints.__getitem__, submasks(m))) for m in ints)
+
+
 def _check_triple_gate(n: int) -> None:
     """Raise unless the ``4**n`` triples of ``n`` labels may be enumerated."""
     if n > MAX_TRIPLE_ENUM_NODES:
@@ -214,22 +218,24 @@ def separated_keys(universe: Universe, reach: Callable[[int, int], int]) -> Iter
     the union of two rows already tabled, its lowest member's and the rest's.
     The table grows with the keys yielded; no rest holds label 0, so the row
     of an ``a`` holding label 0 and more is dropped after its ``c`` loop. The
-    empty ``a`` comes last. Gated at ``MAX_TRIPLE_ENUM_NODES``.
+    empty ``a`` comes last. The ``c`` and ``b`` loops walk the cached
+    ``_submask_table``, built after the gate at ``MAX_TRIPLE_ENUM_NODES``.
     """
     _check_triple_gate(universe.n)
     full, n = universe.full_mask, universe.n
+    subs = _submask_table(n)
     rows: list[dict[int, int]] = [{} for _ in range(full + 1)]  # rows[a][c]: reach(a, c)
     for a in (*range(1, full + 1), 0):
         rest, low = full & ~a, a & -a
         row = {} if a & 1 and a != low else rows[a]
         upper, lower = rows[a ^ low], rows[low]
-        for c in submasks(rest):
+        for c in subs[rest]:
             free = rest & ~c
             if a:
                 row[c] = reached = reach(a, c) if a == low else upper[c] | lower[c]
                 free &= ~reached
             head = a << 2 * n | c << n  # pack_key inlined: a call here cost 5 % of causal-scan
-            for b in submasks(free):
+            for b in subs[free]:
                 yield head | b
 
 

@@ -24,7 +24,6 @@ DAG file::
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import and_
 from pathlib import Path
 from typing import Iterator, NoReturn
@@ -106,7 +105,7 @@ def parse_set(universe: Universe, text: str) -> int:
     if text in ("", "-"):
         return 0
     try:
-        return universe.mask_of(label.strip() for label in text.split(","))
+        return universe.mask_of(map(str.strip, text.split(",")))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
 
@@ -162,37 +161,41 @@ def _column_keys(text: str) -> tuple[Universe, frozenset[int]] | None:
     """The universe of a model text's header and the packed keys
     (``core.pack_key``) of its triple lines, or ``None`` if some line is bad.
 
-    The header is the first content line. The content lines after it must
-    each hold two bars; joined and split at the bars, they give the head
-    (``I <a> ``), ``c`` and ``b`` columns. Each distinct head is checked for
-    its ``I `` and each distinct set text parsed once per call; the
-    disjointness checks are ``map``s over the mask columns, ``core.pack_keys``
-    packs them, and a repeated triple leaves fewer keys than lines.
+    The header is the first content line. The triple lines are joined after
+    an empty entry with ``"|\\n"`` and split at the bars. No line holds a line
+    break, so every line holds two bars iff there are ``3 * lines + 1`` parts
+    and parts 1, 4, 7, ... all start with ``"\\n"``: the head (``\\nI <a> ``),
+    ``c`` and ``b`` columns. Each distinct head is checked for its ``I `` and
+    each distinct set text parsed once per call; the disjointness checks are
+    ``map``s over the mask columns, ``core.pack_keys`` packs them, and a
+    repeated triple leaves fewer keys than lines.
     """
-    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if "#" in text:
+        lines = [s for s in lines if s[0] != "#"]
     try:
-        universe = _header_universe(lines.pop(0))
+        universe = _header_universe(lines[0])
     except (IndexError, ValueError):  # IndexError: no content line at all
         return None
-    if set(map(str.count, lines, repeat("|"))) - {2}:
-        return None
-    if not lines:
-        return universe, frozenset()
-    joined = "|".join(lines)
+    count = len(lines) - 1
+    lines[0] = ""
+    joined = "|\n".join(lines)
     del lines  # each text is held once at a time: lines, joined, then parts
     parts = joined.split("|")
     del joined
-    heads, cs, bs = parts[0::3], parts[1::3], parts[2::3]
+    if len(parts) != 3 * count + 1:
+        return None
+    heads, cs, bs = parts[1::3], parts[2::3], parts[3::3]
     del parts
     head_texts = set(heads)
-    if not all(head.startswith("I ") for head in head_texts):
+    if not all(head.startswith("\nI ") for head in head_texts):
         return None
     try:
-        set_texts = set(cs).union(bs, [head[1:] for head in head_texts])
+        set_texts = set(cs).union(bs, [head[2:] for head in head_texts])
         masks = {part: parse_set(universe, part) for part in set_texts}
     except ValueError:
         return None
-    head_masks = {head: masks[head[1:]] for head in head_texts}
+    head_masks = {head: masks[head[2:]] for head in head_texts}
     a = list(map(head_masks.__getitem__, heads))
     c = list(map(masks.__getitem__, cs))
     b = list(map(masks.__getitem__, bs))

@@ -416,6 +416,22 @@ class TestEntryPoints:
         assert (done.returncode, done.stdout, done.stderr) == (0, "CAUSAL\n", "")
         assert model.read_text(encoding="utf-8").startswith("vars: α b c\n")
 
+    def test_stdout_that_cannot_encode_a_label_names_stdout(self, tmp_path):
+        # Without --out the model goes to stdout, whose encoding is ASCII here:
+        # exit 2, nothing written, and the error names stdout and --out.
+        src = str(Path(cimodels.__file__).resolve().parents[1])
+        dag = tmp_path / "u.dag"
+        dag.write_bytes("vars: α b c\nα -> c\nb -> c\n".encode())
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); from cimodels.cli import main; "
+            "raise SystemExit(main(['dag', 'model', '--dag', sys.argv[2]]))"
+        )
+        argv = [sys.executable, "-I", "-S", "-X", "utf8=0", "-c", code, src, str(dag)]
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: stdout (ascii) cannot encode '\\u03b1'; --out writes UTF-8\n"
+
 
 # Runs one command in a fresh interpreter that has ``src`` (argv[1]) first on
 # its path and no site-packages, then names on stderr the watched modules it

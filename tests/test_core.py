@@ -1,5 +1,6 @@
 """Universe, triple, and model basics."""
 
+import dataclasses
 import random
 import re
 from itertools import islice
@@ -65,6 +66,27 @@ class TestUniverse:
         assert u.subuniverse(0b1010).names == ("b", "d")
         with pytest.raises(ValueError):
             u.subuniverse(0)
+
+    def test_n_and_full_mask_are_not_fields(self):
+        u = Universe(("a", "b", "c"))
+        assert [f.name for f in dataclasses.fields(u)] == ["names"]
+        assert repr(u) == "Universe(names=('a', 'b', 'c'))"
+        assert u == Universe(["a", "b", "c"]) and hash(u) == hash(Universe(("a", "b", "c")))
+        assert u != Universe(("a", "b")) and u != Universe(("c", "b", "a"))
+        wider = dataclasses.replace(u, names=("a", "b", "c", "d"))
+        assert (wider.n, wider.full_mask) == (4, 0b1111)
+        assert (u.n, u.full_mask) == (3, 0b111)
+
+    def test_mask_of_names_the_first_unknown_label(self):
+        u = Universe(("a", "b"))
+        assert u.mask_of(iter(["b", "a"])) == 0b11
+        assert u.mask_of([]) == 0
+        with pytest.raises(ValueError, match=r"^unknown label 'z'$"):
+            u.mask_of(["a", "z", "y"])
+        with pytest.raises(ValueError, match=r"^unknown label: unhashable type: 'list'$"):
+            u.mask_of(["a", ["b"]])
+        with pytest.raises(ValueError, match=r"^unknown label \['b'\]$"):
+            u.index(["b"])
 
 
 def test_bits_of():

@@ -207,22 +207,45 @@ class TestModelCodecErrors:
                 assert format_model(again) == text
 
 
-LABEL_LISTS = [["0", "1", "2", "3"], ["a", "bb", "x_1", "y"]]
-LINE_BREAKS = ["\n", "\r\n", "\x0c", "\u2028"]
+LABEL_LISTS = [["0", "1", "2", "3"], ["a", "bb", "x_1", "y"], ["α", "I", "ß_2", "ω"]]
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
 
 
 def _mutate(draw, names: list[str], lines: list[str]) -> None:
     """Apply one drawn mutation to the triple lines, in place."""
     kind = draw(
         st.sampled_from(
-            ["bar", "prefix", "duplicate", "overlap", "label", "filler", "indent", "char"]
+            [
+                "bar",
+                "moved bar",
+                "break",
+                "prefix",
+                "duplicate",
+                "overlap",
+                "label",
+                "filler",
+                "indent",
+                "char",
+            ]
         )
     )
     at = draw(st.integers(0, len(lines)))
     line = lines[at] if at < len(lines) else "I " + names[0] + " | - | -"
-    if kind == "bar" and "|" in line:
-        cut = draw(st.sampled_from([i for i, ch in enumerate(line) if ch == "|"]))
+    bars = [i for i, ch in enumerate(line) if ch == "|"]
+    if kind == "bar" and bars:
+        cut = draw(st.sampled_from(bars))
         lines[at:at + 1] = [line[:cut] + line[cut + 1:]]
+    elif kind == "moved bar" and bars and at + 1 < len(lines):
+        # The bar count stays right; only the line holding each bar is wrong.
+        cut = draw(st.sampled_from(bars))
+        lines[at] = line[:cut] + line[cut + 1:]
+        later = draw(st.integers(at + 1, len(lines) - 1))
+        put = draw(st.integers(0, len(lines[later])))
+        lines[later] = lines[later][:put] + "|" + lines[later][put:]
+    elif kind == "break" and bars:
+        # A line break in place of a bar: the columns stay in step.
+        cut = draw(st.sampled_from(bars))
+        lines[at:at + 1] = [line[:cut], line[cut + 1:]]
     elif kind == "prefix":
         lines[at:at + 1] = [draw(st.sampled_from(["J ", "i ", "I\t", "I", "", "II "])) + line[2:]]
     elif kind == "duplicate" and lines:
@@ -301,6 +324,24 @@ def test_first_bad_line_wins_whatever_its_fault(text, message):
     with pytest.raises(FormatError) as err:
         parse_model(text, source="m.txt")
     assert str(err.value) == f"m.txt:3: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, line, found",
+    [
+        # Three parts per triple, every third one a line head, yet line 2
+        # holds one bar and line 3 none: only the line count rejects it.
+        ("vars: a b\nI a | -\nb\nI b | - | a\n", 2, "' a | -'"),
+        ("vars: a b I\nI a | b\nI\nI b | - | a\n", 2, "' a | b'"),
+        # One bar moved to a later line.
+        ("vars: a b\nI a | - b\nI b | - | | a\n", 2, "' a | - b'"),
+    ],
+)
+def test_bars_on_the_wrong_lines(text, line, found):
+    assert read_model_text(text) == line
+    with pytest.raises(FormatError) as err:
+        parse_model(text, source="m.txt")
+    assert str(err.value) == f"m.txt:{line}: expected '<set> | <set> | <set>', found {found}"
 
 
 SEVENTEEN = " ".join(f"v{i}" for i in range(17))

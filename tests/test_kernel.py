@@ -14,6 +14,7 @@ from cimodels.core import (
     MAX_TRIPLE_ENUM_NODES,
     IndependencyModel,
     Triple,
+    _submask_table,
     disjoint_keys,
     enumerate_disjoint_triples,
     separated_keys,
@@ -69,6 +70,28 @@ class TestSubmasks:
     def test_rejects_a_negative_mask(self):
         with pytest.raises(ValueError, match="negative mask -3"):
             next(submasks(-3))
+
+
+class TestSubmaskTable:
+    @pytest.mark.parametrize("n", range(7))
+    def test_rows_are_the_submasks(self, n):
+        table = _submask_table(n)
+        assert len(table) == 1 << n
+        assert all(row == tuple(submasks(m)) for m, row in enumerate(table))
+        assert _submask_table(n) is table
+
+    def test_one_int_object_per_mask_at_the_gate(self):
+        # 3**10 entries, but past 255 a fresh int per entry would triple the table.
+        table = _submask_table(MAX_TRIPLE_ENUM_NODES)
+        assert sum(map(len, table)) == 3**MAX_TRIPLE_ENUM_NODES
+        assert len({id(x) for row in table for x in row}) == 1 << MAX_TRIPLE_ENUM_NODES
+
+    def test_not_built_past_the_gate(self):
+        u = universe_of_size(MAX_TRIPLE_ENUM_NODES + 1)
+        before = _submask_table.cache_info()
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            next(separated_keys(u, never_called))
+        assert _submask_table.cache_info() == before
 
 
 class TestKernelAgainstOracles:
