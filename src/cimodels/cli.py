@@ -3,6 +3,10 @@
 Exit codes: 0 for an affirmative decision or plain success, 1 for a negative
 decision, 2 for usage or input errors.
 
+Each handler returns its output and exit code, and ``main`` alone writes the
+output: to a given ``--out`` file as UTF-8, else to stdout whole or not at
+all, exiting 2 with an error that names stdout when it cannot take the text.
+
 Each handler imports the library modules it runs, so a command loads only
 those: ``enum`` and the ``graph``/``dag`` queries load neither the logic nor
 the recognizers, ``model check`` no logic, ``formula`` no recognizer.
@@ -104,47 +108,44 @@ def _add_set_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--B", required=True, help="second set ('' or '-' for empty)")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        try:
-            sys.stdout.write(text)  # encodes the whole text before writing any of it
-        except UnicodeEncodeError as exc:
-            bad = exc.object[exc.start:exc.end]
-            message = f"stdout ({exc.encoding}) cannot encode {bad!r}; --out writes UTF-8"
-            raise ValueError(message) from None
-    else:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    out = getattr(args, "out", None)
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
+        return
+    try:
+        sys.stdout.write(text)  # encodes the whole text before writing any of it
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        hint = "; --out writes UTF-8" if hasattr(args, "out") else ""
+        raise ValueError(f"stdout ({exc.encoding}) cannot encode {bad!r}{hint}") from None
 
 
-def _decide(label_true: str, label_false: str, outcome: bool) -> int:
-    print(label_true if outcome else label_false)
-    return 0 if outcome else 1
+def _decide(label_true: str, label_false: str, outcome: bool) -> tuple[str, int]:
+    return (f"{label_true}\n", 0) if outcome else (f"{label_false}\n", 1)
 
 
-def _run_graph(args: argparse.Namespace) -> int:
+def _run_graph(args: argparse.Namespace) -> tuple[str, int]:
     graph = formats.load_graph(args.graph)
     if args.subcommand == "sep":
         a, c, b = (formats.parse_set(graph.universe, s) for s in (args.A, args.C, args.B))
         return _decide("SEPARATED", "NOT SEPARATED", graph.separates(a, c, b))
-    _emit(formats.format_model(graph.separation_model()), args.out)
-    return 0
+    return formats.format_model(graph.separation_model()), 0
 
 
-def _run_dag(args: argparse.Namespace) -> int:
+def _run_dag(args: argparse.Namespace) -> tuple[str, int]:
     dag = formats.load_dag(args.dag)
     if args.subcommand == "dsep":
         a, c, b = (formats.parse_set(dag.universe, s) for s in (args.A, args.C, args.B))
         return _decide("SEPARATED", "NOT SEPARATED", dag.d_separates(a, c, b))
-    _emit(formats.format_model(dag.dsep_model()), args.out)
-    return 0
+    return formats.format_model(dag.dsep_model()), 0
 
 
-def _run_model(args: argparse.Namespace) -> int:
+def _run_model(args: argparse.Namespace) -> tuple[str, int]:
     model = formats.load_model(args.model)
     if args.subcommand == "restrict":
         v_mask = formats.parse_set(model.universe, args.vars)
-        _emit(formats.format_model(model.restrict(v_mask)), args.out)
-        return 0
+        return formats.format_model(model.restrict(v_mask)), 0
     from .represent import check_semigraphoid, is_causal, is_graph_isomorph
 
     if args.model_class == "causal":
@@ -154,11 +155,13 @@ def _run_model(args: argparse.Namespace) -> int:
             "GRAPH-ISOMORPH", "NOT GRAPH-ISOMORPH", is_graph_isomorph(model).representable
         )
     violations = check_semigraphoid(model)
+    lines = []
     for v in violations:
         premises = ", ".join(formats.format_triple(model.universe, p) for p in v.premises)
         conclusion = formats.format_triple(model.universe, v.conclusion)
-        print(f"violation: {v.axiom}: [{premises}] without [{conclusion}]")
-    return _decide("SEMIGRAPHOID", "NOT SEMIGRAPHOID", not violations)
+        lines.append(f"violation: {v.axiom}: [{premises}] without [{conclusion}]\n")
+    label, code = _decide("SEMIGRAPHOID", "NOT SEMIGRAPHOID", not violations)
+    return "".join(lines) + label, code
 
 
 def _formula_text(arg: str) -> str:
@@ -173,7 +176,7 @@ def _formula_text(arg: str) -> str:
     return formats.read_text(path) if is_file else arg
 
 
-def _run_formula(args: argparse.Namespace) -> int:
+def _run_formula(args: argparse.Namespace) -> tuple[str, int]:
     from .logic import entails, model_satisfies, parse_formula
 
     if args.subcommand == "eval":
@@ -187,34 +190,33 @@ def _run_formula(args: argparse.Namespace) -> int:
     return _decide("ENTAILED", "NOT ENTAILED", outcome)
 
 
-def _run_enum(args: argparse.Namespace) -> int:
+def _run_enum(args: argparse.Namespace) -> tuple[str, int]:
     table = acyclic_arc_masks(args.n)  # the DAG gate; it refuses a negative count too
     universe = Universe(tuple(str(i) for i in range(args.n)))
     if args.count:
-        print(len(table))
-        return 0
-    for dag in enumerate_dags(universe):
-        arcs = " ".join(f"{u}->{v}" for u, v in sorted(dag.arcs))
-        print(arcs if arcs else "-")
-    return 0
+        return f"{len(table)}\n", 0
+    arcs = (" ".join(f"{u}->{v}" for u, v in sorted(d.arcs)) for d in enumerate_dags(universe))
+    return "".join(f"{line or '-'}\n" for line in arcs), 0
 
 
-def _run_repro(args: argparse.Namespace) -> int:
+def _run_repro(args: argparse.Namespace) -> tuple[str, int]:
     from .repro import verify_counterexample
 
     report = verify_counterexample()
     if args.json:
         import json
 
-        print(json.dumps(report.to_dict(), indent=2))
+        lines = [json.dumps(report.to_dict(), indent=2)]
     else:
-        for name, holds in report.statements_checked:
-            print(f"{name}: {'holds' if holds else 'FAILS'}")
-        print(f"dags scanned: {report.dag_count_scanned}")
-        print(f"causal witness: {'found' if report.causal_witness_found else 'none'}")
-        print(f"semigraphoid violations: {'none' if report.semigraphoid_ok else 'present'}")
-        print("REPRODUCTION OK" if report.succeeded else "REPRODUCTION FAILED")
-    return 0 if report.succeeded else 1
+        checked = report.statements_checked
+        lines = [f"{name}: {'holds' if holds else 'FAILS'}" for name, holds in checked]
+        lines += [
+            f"dags scanned: {report.dag_count_scanned}",
+            f"causal witness: {'found' if report.causal_witness_found else 'none'}",
+            f"semigraphoid violations: {'none' if report.semigraphoid_ok else 'present'}",
+            "REPRODUCTION OK" if report.succeeded else "REPRODUCTION FAILED",
+        ]
+    return "".join(f"{line}\n" for line in lines), 0 if report.succeeded else 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -231,10 +233,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if [] in vars(args).values():  # argparse before 3.13 reads '--query=--' as []
             raise ValueError("an option's value cannot be '--'")
-        return handlers[args.command](args)
+        text, code = handlers[args.command](args)
+        _emit(text, args)
+        return code
     except (ValueError, ValuationBudgetError, OSError) as exc:
         # FormatError and FormulaSyntaxError are ValueErrors.
-        print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

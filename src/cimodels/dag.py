@@ -150,12 +150,6 @@ class Dag:
         return IndependencyModel._from_keys(self.universe, keys)
 
 
-@lru_cache(maxsize=None)
-def _arc_bit_layout(n: int) -> tuple[tuple[int, int], ...]:
-    """Ordered pairs (i, j), i != j, in lexicographic order; pair k is bit k."""
-    return tuple(permutations(range(n), 2))
-
-
 def arc_bit(n: int, u: int, v: int) -> int:
     """Bit index of the arc ``u -> v`` in the arc bitmasks of ``n``-node DAGs."""
     return u * (n - 1) + v - (v > u)
@@ -200,11 +194,12 @@ def _orientation_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
 
 
 def dag_of_mask(universe: Universe, mask: int) -> Dag:
-    """The DAG whose arcs are the set bits of ``mask`` (see ``arc_bit``)."""
-    pairs = _arc_bit_layout(universe.n)
-    if not 0 <= mask < 1 << len(pairs):
-        raise ValueError(f"arc mask {mask} outside the {universe.n}-label arc range")
-    return Dag(universe, frozenset(pairs[k] for k in bits_of(mask)))
+    """The DAG whose arcs are the set bits of ``mask``, decoded by inverting ``arc_bit``."""
+    n = universe.n
+    if not 0 <= mask < 1 << n * (n - 1):
+        raise ValueError(f"arc mask {mask} outside the {n}-label arc range")
+    pairs = (divmod(k, n - 1) for k in bits_of(mask))
+    return Dag(universe, frozenset((u, r + (r >= u)) for u, r in pairs))
 
 
 def enumerate_dags(universe: Universe) -> Iterator[Dag]:

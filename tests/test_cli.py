@@ -416,21 +416,39 @@ class TestEntryPoints:
         assert (done.returncode, done.stdout, done.stderr) == (0, "CAUSAL\n", "")
         assert model.read_text(encoding="utf-8").startswith("vars: α b c\n")
 
-    def test_stdout_that_cannot_encode_a_label_names_stdout(self, tmp_path):
-        # Without --out the model goes to stdout, whose encoding is ASCII here:
-        # exit 2, nothing written, and the error names stdout and --out.
+    @pytest.mark.parametrize(
+        ("text", "argv", "err"),
+        [
+            (
+                "vars: α b c\nα -> c\nb -> c\n",
+                ["dag", "model", "--dag"],
+                "error: stdout (ascii) cannot encode '\\u03b1'; --out writes UTF-8\n",
+            ),
+            (
+                "vars: b c α\nI b | - | c\nI α | - | b\n",
+                ["model", "check", "--class", "semigraphoid", "--model"],
+                "error: stdout (ascii) cannot encode '\\u03b1'\n",
+            ),
+        ],
+        ids=["dag-model", "semigraphoid-check"],
+    )
+    def test_stdout_that_cannot_encode_a_label_names_stdout(self, tmp_path, text, argv, err):
+        # The output goes to stdout, whose encoding is ASCII here: exit 2,
+        # nothing written, and the error names stdout, and --out where the
+        # command has it. The first violation line is ASCII and the second
+        # is not, so a line-by-line writer would cut the list in two.
         src = str(Path(cimodels.__file__).resolve().parents[1])
-        dag = tmp_path / "u.dag"
-        dag.write_bytes("vars: α b c\nα -> c\nb -> c\n".encode())
+        path = tmp_path / "u.txt"
+        path.write_bytes(text.encode())
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); from cimodels.cli import main; "
-            "raise SystemExit(main(['dag', 'model', '--dag', sys.argv[2]]))"
+            "raise SystemExit(main(sys.argv[2:]))"
         )
-        argv = [sys.executable, "-I", "-S", "-X", "utf8=0", "-c", code, src, str(dag)]
+        argv = [sys.executable, "-I", "-S", "-X", "utf8=0", "-c", code, src, *argv, str(path)]
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == "error: stdout (ascii) cannot encode '\\u03b1'; --out writes UTF-8\n"
+        assert done.stderr == err
 
 
 # Runs one command in a fresh interpreter that has ``src`` (argv[1]) first on
@@ -448,6 +466,22 @@ print(code, *(name for name in watched if name in sys.modules), file=sys.stderr)
 # sha256 of the report ``repro counterexample --json`` printed when the CLI
 # still imported every module at start-up.
 REPRO_JSON_SHA256 = "c4ea1158faeeaa661982e6d6d07242f870859529962e002d03b8104dadf704dd"
+
+# sha256 of what three commands printed when each wrote its output line by
+# line; the model is ``VIOLATIONS_MODEL_TEXT``.
+PRINTED_SHA256 = {
+    "repro counterexample": "3dceeef9bc44eef7269e24c47c3590418d4128ebb755f4c14362b6c713aa8a93",
+    "enum dags --n 3": "e333d9d456663434da34a161e8d23a3e4b3d5969435633b71ddeb33ee6781316",
+    "model check --class semigraphoid --model {model}": (
+        "d35ffa6fa7a6481aed63f5681b7ad05457363d1bd056282a4d7ce147cc024275"
+    ),
+}
+
+VIOLATIONS_MODEL_TEXT = """\
+vars: a b c
+I a | - | b
+I c | - | a
+"""
 
 
 def run_isolated(argv):
@@ -493,6 +527,22 @@ class TestImportsPerCommand:
         code, modules, out = run_isolated(["repro", "counterexample", "--json"])
         assert (code, modules) == (0, {"cimodels.represent", "cimodels.repro", "json"})
         assert hashlib.sha256(out.encode()).hexdigest() == REPRO_JSON_SHA256
+
+    @pytest.mark.parametrize(
+        ("command", "exit_code"),
+        [
+            ("repro counterexample", 0),
+            ("enum dags --n 3", 0),
+            ("model check --class semigraphoid --model {model}", 1),
+        ],
+    )
+    def test_printed_text_is_unchanged(self, command, exit_code, tmp_path, capsys):
+        model = tmp_path / "v.txt"
+        model.write_text(VIOLATIONS_MODEL_TEXT)
+        argv = [str(model) if arg == "{model}" else arg for arg in command.split()]
+        assert main(argv) == exit_code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PRINTED_SHA256[command]
 
 
 def library_error(call, *args):
