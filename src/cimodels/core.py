@@ -55,6 +55,8 @@ class Universe:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.names, str):
+            raise ValueError(f"expected a collection of labels, not the string {self.names!r}")
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if not 1 <= len(names) <= MAX_UNIVERSE_SIZE:
@@ -80,6 +82,8 @@ class Universe:
             raise ValueError(f"unknown label {label!r}") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
+        if isinstance(labels, str):
+            raise ValueError(f"expected a collection of labels, not the string {labels!r}")
         try:
             return reduce(or_, map(self._bits.__getitem__, labels), 0)
         except KeyError as exc:

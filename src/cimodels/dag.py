@@ -1,10 +1,10 @@
 """Directed acyclic graphs, d-separation, and induced models.
 
-Two independent d-separation deciders are provided: one reachability closure
-over a fixed table of ``3n`` walk states (see ``Dag._active_reach``), and an
-oracle that reduces the query to plain separation in a moralized ancestral
-graph, checked against each other in the test suite. DAG tables come from
-node orders: arcs are acyclic iff some order of the nodes runs them all forward.
+Two independent d-separation deciders: one reachability closure over a fixed
+table of ``3n`` walk states (``Dag._active_reach``), and the oracle
+``Dag.d_separates_moral``, plain separation in the moralized ancestral graph;
+the tests check each against the other. Arcs are acyclic iff some node order
+runs them all forward: ``_forward_arc_masks`` holds each order's arcs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import (
     IndependencyModel,
@@ -73,11 +73,6 @@ class Dag:
         self.universe.check_nodes(w)
         return reachable_mask(self.parent_masks, 1 << w, 0) & ~(1 << w)
 
-    def ancestral_closure(self, mask: int) -> int:
-        """``mask`` together with all ancestors of its members."""
-        self.universe.check_mask(mask)
-        return reachable_mask(self.parent_masks, mask, 0)
-
     def d_separates(self, a: int, c: int, b: int) -> bool:
         """Decide whether ``c`` d-separates ``a`` from ``b``.
 
@@ -127,22 +122,16 @@ class Dag:
 
         Restrict to the ancestral closure of ``a | b | c``, join each node's
         parents pairwise, drop arc directions, and test plain graph
-        separation there.
+        separation there; nodes outside the closure are left isolated.
         """
         check_disjoint(a, c, b)  # before the mask check, as in the other deciders
-        return self.moralized_ancestral_graph(a | c | b).separates(a, c, b)
-
-    def moralized_ancestral_graph(self, mask: int) -> UndirectedGraph:
-        """Undirected graph on the ancestral closure of ``mask`` with married parents.
-
-        Nodes outside the closure are kept in the universe but left isolated.
-        """
+        self.universe.check_mask(a | c | b)
         edges = set()
-        for v in bits_of(self.ancestral_closure(mask)):
+        for v in bits_of(reachable_mask(self.parent_masks, a | c | b, 0)):
             # v and its parents become a clique (ancestral closures are parent-closed); a
             # list, since combinations over a generator filled CPython's tuple free lists.
             edges.update(combinations(list(bits_of(self.parent_masks[v] | 1 << v)), 2))
-        return UndirectedGraph(self.universe, frozenset(edges))
+        return UndirectedGraph(self.universe, frozenset(edges)).separates(a, c, b)
 
     def dsep_model(self) -> IndependencyModel:
         """The model of all disjoint triples this DAG d-separates."""
@@ -181,16 +170,6 @@ def acyclic_arc_masks(n: int) -> tuple[int, ...]:
     so a bisect finds an acyclic mask's place in that order.
     """
     return tuple(sorted({s for f in _forward_arc_masks(n) for s in submasks(f)}))
-
-
-def _orientation_masks(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
-    """Arc masks of the acyclic orientations of ``edges`` on ``n`` nodes, ascending.
-
-    Each is a node order's forward arcs cut down to the edges, and every
-    acyclic one is cut so from a topological order.
-    """
-    both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in edges)
-    return sorted({f & both for f in _forward_arc_masks(n)})
 
 
 def dag_of_mask(universe: Universe, mask: int) -> Dag:

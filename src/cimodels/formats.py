@@ -312,9 +312,9 @@ def format_dag(dag: Dag) -> str:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of the file at ``path``; undecodable bytes raise ``FormatError`` naming it."""
+    """``path``'s text less a leading BOM; undecodable bytes raise ``FormatError`` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise FormatError(str(exc), source=str(Path(path))) from None
 

@@ -19,7 +19,7 @@ from .core import (
     submasks,
     unpack_keys,
 )
-from .dag import Dag, _forward_arc_masks, _orientation_masks, acyclic_arc_masks, arc_bit, dag_of_mask
+from .dag import Dag, _forward_arc_masks, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
 
 # The four closure schemata checked by check_semigraphoid, as formula text
@@ -115,8 +115,8 @@ def is_graph_isomorph(model: IndependencyModel) -> RepresentabilityResult:
     return RepresentabilityResult(False, None, Triple(*next(unpack_keys(n, [first]))))
 
 
-def _causal_witness(model: IndependencyModel) -> Dag | None:
-    """The first DAG in enumeration order whose d-separation model is ``model``.
+def _causal_witness(model: IndependencyModel) -> tuple[int, Dag] | tuple[None, None]:
+    """``(arc mask, DAG)`` of the first DAG in enumeration order inducing ``model``.
 
     At most one DAG is compared. A DAG's model leaves two nodes dependent
     under every conditioning set exactly when they are adjacent, so every DAG
@@ -129,10 +129,11 @@ def _causal_witness(model: IndependencyModel) -> Dag | None:
     every DAG inducing it passes the rule; and every orientation that passes
     has the skeleton and the v-structures of such a DAG, so it induces the
     same model (Verma & Pearl 1990). Hence the first passing orientation, in
-    ascending arc-mask order, is the first witness, or there is none.
+    ascending arc-mask order, is the first witness, else ``(None, None)``. Each
+    orientation is a topological order's forward arcs cut down to the skeleton.
     """
     n = model.universe.n
-    _forward_arc_masks(n)  # the DAG gate, before any pair is read
+    forward = _forward_arc_masks(n)  # the DAG gate, before any pair is read
     skeleton, separators = _skeleton(model)
     adjacent = skeleton.neighbor_masks
     rules = [  # (the arcs x -> z and y -> z, whether z is a collider)
@@ -141,11 +142,12 @@ def _causal_witness(model: IndependencyModel) -> Dag | None:
         if sep is not None
         for z in bits_of(adjacent[x] & adjacent[y])
     ]
-    for mask in _orientation_masks(n, skeleton.edges):
+    both = sum(1 << arc_bit(n, u, v) | 1 << arc_bit(n, v, u) for u, v in skeleton.edges)
+    for mask in sorted({f & both for f in forward}):
         if all((mask & arcs == arcs) == collider for arcs, collider in rules):
             dag = dag_of_mask(model.universe, mask)
-            return dag if model_equals(dag.dsep_model(), model) else None
-    return None
+            return (mask, dag) if model_equals(dag.dsep_model(), model) else (None, None)
+    return None, None
 
 
 def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
@@ -155,12 +157,11 @@ def scan_causal_witness(model: IndependencyModel) -> tuple[Dag | None, int]:
 
     Only the position and the count need the ``acyclic_arc_masks`` table.
     """
-    n = model.universe.n
-    table = acyclic_arc_masks(n)  # the DAG gate, before any pair is read
-    witness = _causal_witness(model)
+    table = acyclic_arc_masks(model.universe.n)  # the DAG gate, before any pair is read
+    mask, witness = _causal_witness(model)
     if witness is None:
         return None, len(table)
-    return witness, bisect_left(table, sum(1 << arc_bit(n, u, v) for u, v in witness.arcs)) + 1
+    return witness, bisect_left(table, mask) + 1
 
 
 def is_causal(model: IndependencyModel) -> RepresentabilityResult:
@@ -170,7 +171,7 @@ def is_causal(model: IndependencyModel) -> RepresentabilityResult:
     ``_causal_witness``), so it is deterministic but only unique up to
     equivalence of induced models. It is found without the table of all DAGs.
     """
-    witness = _causal_witness(model)
+    witness = _causal_witness(model)[1]
     return RepresentabilityResult(witness is not None, witness, None)
 
 

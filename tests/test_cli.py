@@ -354,6 +354,25 @@ class TestDiagnostics:
         message = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
         assert captured.err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["model", "check", "--class", "semigraphoid", "--model"], MODEL_TEXT),
+            (["dag", "model", "--dag"], DAG_TEXT),
+            (["formula", "eval", "--model", "m.txt", "--formula"], "!I(X1, X2, X3)\n"),
+        ],
+        ids=["model", "dag", "formula"],
+    )
+    def test_byte_order_mark_dropped(self, model_file, tmp_path, capsys, argv, text):
+        # As Windows editors write it: a leading UTF-8 BOM and CRLF line ends.
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(text)
+        bom.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        argv = [model_file if arg == "m.txt" else arg for arg in argv]
+        runs = [(main([*argv, str(path)]), capsys.readouterr()) for path in (plain, bom)]
+        assert runs[0][1].err == "" and runs[0][1].out
+        assert runs[1] == runs[0]
+
 
     def test_double_dash_formula_value(self, model_file, capsys):
         # argparse from 3.13 reads the text '--'; earlier ones leave [] behind.

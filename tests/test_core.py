@@ -88,6 +88,15 @@ class TestUniverse:
         with pytest.raises(ValueError, match=r"^unknown label \['b'\]$"):
             u.index(["b"])
 
+    def test_a_bare_string_is_not_split_into_labels(self):
+        u = Universe(("a", "b", "ab"))
+        assert u.mask_of(["ab"]) == 0b100
+        message = r"^expected a collection of labels, not the string 'ab'$"
+        with pytest.raises(ValueError, match=message):
+            u.mask_of("ab")
+        with pytest.raises(ValueError, match=message):
+            Universe("ab")
+
 
 def test_bits_of():
     assert list(bits_of(0b10110)) == [1, 2, 4]

@@ -4,28 +4,25 @@ import dataclasses
 import pickle
 import random
 import re
-from bisect import bisect_left
 from itertools import combinations
 
 import pytest
 
-from cimodels.core import Triple, Universe, enumerate_disjoint_triples
+from cimodels.core import IndependencyModel, Triple, Universe, enumerate_disjoint_triples
 from cimodels.dag import (
     MAX_DAG_ENUM_NODES,
     Dag,
     _forward_arc_masks,
-    _orientation_masks,
     acyclic_arc_masks,
     arc_bit,
     dag_of_mask,
     enumerate_dags,
 )
-from cimodels.represent import _skeleton
+from cimodels.represent import _skeleton, is_causal
 from cimodels.ugraph import UndirectedGraph
 
 from oracles import (
     acyclic_arc_masks_bruteforce,
-    acyclic_orientations_by_product,
     d_separates_by_paths,
     dag_count,
     descendants_by_relation,
@@ -141,19 +138,13 @@ class TestClosures:
                 assert d.descendants(w) == descendants_by_relation(d, w)
 
     @pytest.mark.parametrize(
-        "call, mask",
-        [
-            ("ancestral_closure", 1 << 7),
-            ("ancestral_closure", -1),
-            ("moralized_ancestral_graph", 1 << 5),
-            ("moralized_ancestral_graph", -2),
-        ],
+        "a, c, b", [(1 << 7, 0, 0), (0, -1, 0), (0, 0, 1 << 5), (-2, 0, 0)]
     )
-    def test_mask_outside_the_universe_rejected(self, call, mask):
-        # Not an IndexError from the parent-mask table.
-        message = f"mask {mask:#x} has bits outside the 3-label universe"
+    def test_mask_outside_the_universe_rejected(self, a, c, b):
+        # Not an IndexError from the parent-mask table, whichever set holds the bits.
+        message = f"mask {a | c | b:#x} has bits outside the 3-label universe"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            getattr(collider(), call)(mask)
+            collider().d_separates_moral(a, c, b)
 
 
 class TestDSeparates:
@@ -382,7 +373,7 @@ class TestEnumeration:
         builds = [lambda: _forward_arc_masks(n), lambda: acyclic_arc_masks(n)]
         if n > 0:
             message = f"refusing to enumerate DAGs on {n} > {MAX_DAG_ENUM_NODES} nodes"
-            builds.append(lambda: _orientation_masks(n, [(0, 1)]))
+            builds.append(lambda: is_causal(IndependencyModel(universe_of_size(n), frozenset())))
         else:
             message = f"no DAGs on a negative number of nodes, got {n}"
         for build in builds:
@@ -401,30 +392,3 @@ class TestEnumeration:
     def test_dag_of_mask_rejects_a_mask_outside_the_arc_range(self, mask):
         with pytest.raises(ValueError, match=f"arc mask {mask} outside the 2-label"):
             dag_of_mask(universe_of_size(2), mask)
-
-
-class TestAcyclicOrientations:
-    """Cut from node orders, the orientations match the 2^|E| product of both
-    directions per edge with the cyclic ones dropped, masks and positions."""
-
-    @staticmethod
-    def cut(n, edges):
-        table = acyclic_arc_masks(n)
-        return [(bisect_left(table, mask) + 1, mask) for mask in _orientation_masks(n, edges)]
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_skeleton_up_to_four_nodes(self, n):
-        table = acyclic_arc_masks_bruteforce(n)
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [p for k, p in enumerate(pairs) if (mask >> k) & 1]
-            assert self.cut(n, edges) == acyclic_orientations_by_product(n, edges, table)
-
-    def test_seeded_five_node_skeletons_and_k5(self):
-        table = acyclic_arc_masks(5)
-        pairs = list(combinations(range(5), 2))
-        rng = random.Random(13)
-        skeletons = [pairs, []] + [[p for p in pairs if rng.random() < 0.5] for _ in range(40)]
-        for edges in skeletons:
-            assert self.cut(5, edges) == acyclic_orientations_by_product(5, edges, table)
-        assert len(self.cut(5, pairs)) == 120

@@ -307,6 +307,17 @@ def six_node_dag_models_on_five_labels(rng):
     return models
 
 
+def dense_dag_models_on_five_labels(rng):
+    """Seeded DAG models on 5 labels with arc probability up to 0.9, and the
+    complete DAG's: dense skeletons up to K5, whose 120 orientations all pass."""
+    u5, models = universe_of_size(5), []
+    for _ in range(40):
+        order, p = rng.sample(range(5), 5), rng.uniform(0.3, 0.9)
+        arcs = [(order[i], order[j]) for i, j in combinations(range(5), 2) if rng.random() < p]
+        models.append(Dag(u5, frozenset(arcs)).dsep_model())
+    return models + [Dag(u5, frozenset(combinations(range(5), 2))).dsep_model()]
+
+
 def cycle_model(n):
     edges = [(i, (i + 1) % n) for i in range(n)]
     return UndirectedGraph(universe_of_size(n), frozenset(edges)).separation_model()
@@ -318,6 +329,7 @@ SCAN_MODEL_GROUPS = {
     "one-triple-toggles-of-4-node-dag-models": one_triple_toggles,
     "six-node-dag-models-on-five-labels": six_node_dag_models_on_five_labels,
     "graph-models-on-5": lambda rng: graph_models((5,)),
+    "dense-dag-models-on-5": dense_dag_models_on_five_labels,
 }
 
 
