@@ -64,7 +64,6 @@ _LAZY = {
             "check_clause",
             "clause_of_formula",
             "entails",
-            "eval_term",
             "format_formula",
             "format_term",
             "formula_of_clause",
@@ -75,7 +74,6 @@ _LAZY = {
             "model_satisfies",
             "parse_clause",
             "parse_formula",
-            "satisfies",
         ),
         "represent": (
             "SEMIGRAPHOID_AXIOM_FORMULAS",

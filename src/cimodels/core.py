@@ -139,10 +139,6 @@ class Triple:
         """Union of the three member sets."""
         return self.a | self.c | self.b
 
-    def reverse(self) -> "Triple":
-        """The same statement with the two related sets swapped."""
-        return Triple(self.b, self.c, self.a)
-
 
 def pack_key(n: int, a: int, c: int, b: int) -> int:
     """The packed key of the triple ``(a, c, b)`` over ``n`` labels: ``a << 2n | c << n | b``."""
@@ -336,11 +332,6 @@ class IndependencyModel:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def is_symmetric(self) -> bool:
-        """True iff membership is invariant under swapping the two related sets."""
-        sets = set(unpack_keys(self.universe.n, self.keys))
-        return all((b, c, a) in sets for a, c, b in sets)
 
     def restrict(self, v_mask: int) -> "IndependencyModel":
         """The sub-model of the triples whose three sets all lie inside ``v_mask``.

@@ -63,16 +63,6 @@ class Dag:
     def parent_masks(self) -> tuple[int, ...]:
         return self._walk_steps[2 * self.universe.n :]  # the bounce states step to the parents
 
-    def descendants(self, w: int) -> int:
-        """Strict descendants of ``w``: nodes reachable along arcs, excluding ``w``."""
-        self.universe.check_nodes(w)
-        return reachable_mask(self.child_masks, 1 << w, 0) & ~(1 << w)
-
-    def ancestors(self, w: int) -> int:
-        """Strict ancestors of ``w``: nodes that reach ``w`` along arcs, excluding ``w``."""
-        self.universe.check_nodes(w)
-        return reachable_mask(self.parent_masks, 1 << w, 0) & ~(1 << w)
-
     def d_separates(self, a: int, c: int, b: int) -> bool:
         """Decide whether ``c`` d-separates ``a`` from ``b``.
 
@@ -172,13 +162,18 @@ def acyclic_arc_masks(n: int) -> tuple[int, ...]:
     return tuple(sorted({s for f in _forward_arc_masks(n) for s in submasks(f)}))
 
 
+@lru_cache(maxsize=None)
+def _arc_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The arc ``(u, v)`` at each bit index: the inverse of ``arc_bit``."""
+    return tuple((u, v) for u in range(n) for v in range(n) if u != v)
+
+
 def dag_of_mask(universe: Universe, mask: int) -> Dag:
-    """The DAG whose arcs are the set bits of ``mask``, decoded by inverting ``arc_bit``."""
+    """The DAG whose arcs are the set bits of ``mask``."""
     n = universe.n
     if not 0 <= mask < 1 << n * (n - 1):
         raise ValueError(f"arc mask {mask} outside the {n}-label arc range")
-    pairs = (divmod(k, n - 1) for k in bits_of(mask))
-    return Dag(universe, frozenset((u, r + (r >= u)) for u, r in pairs))
+    return Dag(universe, frozenset(map(_arc_pairs(n).__getitem__, bits_of(mask))))
 
 
 def enumerate_dags(universe: Universe) -> Iterator[Dag]:

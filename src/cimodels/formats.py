@@ -314,7 +314,7 @@ def format_dag(dag: Dag) -> str:
 def read_text(path: str | Path) -> str:
     """``path``'s text less a leading BOM; undecodable bytes raise ``FormatError`` naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(str(exc), source=str(Path(path))) from None
 

@@ -482,15 +482,6 @@ class Valuation:
             self.universe.check_mask(mask)
 
 
-def eval_term(term: Term, valuation: Valuation) -> int:
-    """Value of a term under a valuation; complement is relative to the universe.
-
-    Raises ``ValueError`` past ``MAX_FORMULA_DEPTH``, before any recursion.
-    """
-    _check_depth(term)
-    return _value(term, valuation.assignment, valuation.universe.full_mask)
-
-
 def _value(term: Term, values: Mapping[str, int], full: int) -> int:
     """Value of a term whose variables take ``values``, all subsets of ``full``."""
     if isinstance(term, Var):
@@ -507,22 +498,18 @@ def _value(term: Term, values: Mapping[str, int], full: int) -> int:
     return left | right if isinstance(term, Union_) else left & right
 
 
-def _atom_sets(atom: Atom, valuation: Valuation) -> tuple[int, int, int]:
-    values, full = valuation.assignment, valuation.universe.full_mask
-    return tuple(_value(t, values, full) for t in (atom.t1, atom.t2, atom.t3))
-
-
-def _disjoint(s1: int, s2: int, s3: int) -> bool:
-    return not (s1 & s2 or s1 & s3 or s2 & s3)
-
-
 def is_valid_valuation(
     valuation: Valuation, formula: Formula, model: IndependencyModel
 ) -> bool:
     """True iff every atom's three term values are pairwise disjoint."""
     if valuation.universe.names != model.universe.names:
         raise ValueError("valuation universe does not match the model universe")
-    return all(_disjoint(*_atom_sets(atom, valuation)) for atom in atoms_of(formula))
+    values, full = valuation.assignment, valuation.universe.full_mask
+    for atom in atoms_of(formula):
+        s1, s2, s3 = (_value(t, values, full) for t in (atom.t1, atom.t2, atom.t3))
+        if s1 & s2 or s1 & s3 or s2 & s3:
+            return False
+    return True
 
 
 def _compile_truth(
@@ -539,21 +526,6 @@ def _compile_truth(
     if isinstance(formula, And):
         return lambda truths: left(truths) and right(truths)
     return lambda truths: left(truths) or right(truths)
-
-
-def satisfies(valuation: Valuation, formula: Formula, model: IndependencyModel) -> bool:
-    """Truth of the formula under one valid valuation.
-
-    An atom holds when its evaluated triple is in the model; connectives are
-    classical. Calling this with an invalid valuation is an error, and so is
-    nesting past ``MAX_FORMULA_DEPTH`` (``ValueError``).
-    """
-    _check_depth(formula)
-    if not is_valid_valuation(valuation, formula, model):
-        raise ValueError("valuation is not valid for the formula")
-    atoms = atoms_of(formula)
-    truths = [Triple(*_atom_sets(atom, valuation)) in model for atom in atoms]
-    return _compile_truth(formula, {atom: j for j, atom in enumerate(atoms)})(truths)
 
 
 # The valuation engine. Every term is a Boolean combination of variables, so

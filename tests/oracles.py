@@ -39,6 +39,11 @@ from cimodels.represent import AxiomViolation
 from cimodels.ugraph import UndirectedGraph
 
 
+def swapped(t: Triple) -> Triple:
+    """The same statement with the two related sets swapped."""
+    return Triple(t.b, t.c, t.a)
+
+
 def dag_count(n: int) -> int:
     """Labeled DAG count via the inclusion-exclusion recurrence."""
     counts = [1]
@@ -234,8 +239,8 @@ def semigraphoid_violations_by_placements(model) -> set[tuple[str, Triple]]:
     triples = model.triples
     found: set[tuple[str, Triple]] = set()
     for t in triples:
-        if t.reverse() not in triples:
-            found.add(("symmetry", t.reverse()))
+        if swapped(t) not in triples:
+            found.add(("symmetry", swapped(t)))
     for code in range(5**n):
         a = c = b = d = 0
         rest = code
@@ -291,8 +296,8 @@ def check_semigraphoid_reference(model) -> list[AxiomViolation]:
     violations: list[AxiomViolation] = []
 
     for t in ordered:
-        if t.reverse() not in triples:
-            violations.append(AxiomViolation("symmetry", (t,), t.reverse()))
+        if swapped(t) not in triples:
+            violations.append(AxiomViolation("symmetry", (t,), swapped(t)))
 
     for t in ordered:
         sub = t.b
@@ -385,7 +390,7 @@ class ReferenceModel:
         return len(self.triples)
 
     def is_symmetric(self) -> bool:
-        return all(t.reverse() in self.triples for t in self.triples)
+        return all(swapped(t) in self.triples for t in self.triples)
 
     def restrict(self, v_mask: int) -> "ReferenceModel":
         kept = [i for i in range(self.universe.n) if (v_mask >> i) & 1]
@@ -607,7 +612,7 @@ def random_model(
 ) -> IndependencyModel:
     triples = {t for t in enumerate_disjoint_triples(universe) if rng.random() < p}
     if symmetric:
-        triples |= {t.reverse() for t in triples}
+        triples |= {swapped(t) for t in triples}
     return IndependencyModel(universe, frozenset(triples))
 
 

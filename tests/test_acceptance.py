@@ -39,6 +39,7 @@ from oracles import (
     random_clause,
     random_formula,
     random_model,
+    swapped,
     universe_of_size,
 )
 
@@ -271,7 +272,7 @@ def test_criterion_8_il_engine(capsys):
 
     u3 = universe_of_size(3)
     given = Triple(0b001, 0, 0b010)
-    entails_ok = entails("causal", [given], given.reverse(), u3) and not entails(
+    entails_ok = entails("causal", [given], swapped(given), u3) and not entails(
         "causal", [], given, u3
     )
 

@@ -307,6 +307,15 @@ class TestRepro:
         }
 
 
+# Commands that read the file named last.
+FILE_READERS = [
+    ["model", "check", "--class", "semigraphoid", "--model"],
+    ["formula", "eval", "--formula", "I(X, Y, Z)", "--model"],
+    ["graph", "model", "--graph"],
+    ["dag", "model", "--dag"],
+]
+
+
 class TestDiagnostics:
     def test_missing_file(self, capsys):
         assert main(["dag", "dsep", "--dag", "nope.txt", "--A", "1", "--C", "", "--B", "3"]) == 2
@@ -327,15 +336,7 @@ class TestDiagnostics:
     def test_unknown_label_in_query(self, dag_file, capsys):
         assert main(["dag", "dsep", "--dag", dag_file, "--A", "9", "--C", "", "--B", "3"]) == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["model", "check", "--class", "semigraphoid", "--model"],
-            ["formula", "eval", "--formula", "I(X, Y, Z)", "--model"],
-            ["graph", "model", "--graph"],
-            ["dag", "model", "--dag"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", FILE_READERS)
     def test_undecodable_file_named(self, tmp_path, capsys, argv):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"vars: a b\nI a | - | \xff\n")
@@ -345,6 +346,17 @@ class TestDiagnostics:
         message = "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte"
         assert captured.err == f"error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("argv", FILE_READERS)
+    def test_undecodable_file_after_a_bom_named(self, tmp_path, capsys, argv):
+        # The position is the bad byte's offset in the file, the BOM included.
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xef\xbb\xbfvars: a b\nI a | - | \xff\n")
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "'utf-8' codec can't decode byte 0xff in position 23: invalid start byte"
+        assert captured.err == f"error: {path}: {message}\n"
+
     def test_undecodable_formula_file_named(self, model_file, tmp_path, capsys):
         path = tmp_path / "f.txt"
         path.write_bytes(b"I(X, Y, \xff)")
@@ -352,6 +364,15 @@ class TestDiagnostics:
         captured = capsys.readouterr()
         assert captured.out == ""
         message = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+        assert captured.err == f"error: {path}: {message}\n"
+
+    def test_undecodable_formula_file_after_a_bom_named(self, model_file, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"\xef\xbb\xbfI(X, Y, \xff)")
+        assert main(["formula", "eval", "--model", model_file, "--formula", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"
         assert captured.err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize(
@@ -486,11 +507,13 @@ print(code, *(name for name in watched if name in sys.modules), file=sys.stderr)
 # still imported every module at start-up.
 REPRO_JSON_SHA256 = "c4ea1158faeeaa661982e6d6d07242f870859529962e002d03b8104dadf704dd"
 
-# sha256 of what three commands printed when each wrote its output line by
-# line; the model is ``VIOLATIONS_MODEL_TEXT``.
+# sha256 of what four commands printed: the first three when each wrote its
+# output line by line, and ``enum dags --n 5`` when ``dag_of_mask`` decoded each
+# arc bit with ``divmod``. The model is ``VIOLATIONS_MODEL_TEXT``.
 PRINTED_SHA256 = {
     "repro counterexample": "3dceeef9bc44eef7269e24c47c3590418d4128ebb755f4c14362b6c713aa8a93",
     "enum dags --n 3": "e333d9d456663434da34a161e8d23a3e4b3d5969435633b71ddeb33ee6781316",
+    "enum dags --n 5": "21e7f3463faef7750bb1c616c8995867d171bac740c43257a40a91c3f6e7caf2",
     "model check --class semigraphoid --model {model}": (
         "d35ffa6fa7a6481aed63f5681b7ad05457363d1bd056282a4d7ce147cc024275"
     ),
@@ -552,6 +575,7 @@ class TestImportsPerCommand:
         [
             ("repro counterexample", 0),
             ("enum dags --n 3", 0),
+            ("enum dags --n 5", 0),
             ("model check --class semigraphoid --model {model}", 1),
         ],
     )

@@ -19,7 +19,7 @@ from cimodels.dag import (
     enumerate_dags,
 )
 from cimodels.represent import _skeleton, is_causal
-from cimodels.ugraph import UndirectedGraph
+from cimodels.ugraph import UndirectedGraph, reachable_mask
 
 from oracles import (
     acyclic_arc_masks_bruteforce,
@@ -118,24 +118,37 @@ class TestDagInvariants:
         assert dataclasses.replace(g, edges={(2, 0)}).neighbor_masks == (0b100, 0, 0b001)
 
 
+def descendants(d, w):
+    return reachable_mask(d.child_masks, d.child_masks[w], 0)
+
+
+def ancestors(d, w):
+    return reachable_mask(d.parent_masks, d.parent_masks[w], 0)
+
+
 class TestClosures:
+    """The closures ``d_separates_moral`` builds its ancestral graph from:
+    ``reachable_mask`` over ``child_masks`` and ``parent_masks``."""
+
     def test_chain_descendants(self):
         d = chain()
-        assert d.descendants(0) == 0b110
-        assert d.descendants(2) == 0
-        assert d.ancestors(2) == 0b011
-        assert d.ancestors(0) == 0
+        assert descendants(d, 0) == 0b110
+        assert descendants(d, 2) == 0
+        assert ancestors(d, 2) == 0b011
+        assert ancestors(d, 0) == 0
 
     def test_counterexample_descendants(self):
         d = counterexample_dag()
-        assert d.descendants(0) == 0b01100  # nodes 2 and 3
+        assert descendants(d, 0) == 0b01100  # nodes 2 and 3
 
     def test_against_relation_oracle(self):
         rng = random.Random(11)
         for _ in range(20):
             d = random_dag(rng, 5)
+            below = [descendants_by_relation(d, w) for w in range(5)]
             for w in range(5):
-                assert d.descendants(w) == descendants_by_relation(d, w)
+                assert descendants(d, w) == below[w]
+                assert ancestors(d, w) == sum(1 << x for x in range(5) if below[x] >> w & 1)
 
     @pytest.mark.parametrize(
         "a, c, b", [(1 << 7, 0, 0), (0, -1, 0), (0, 0, 1 << 5), (-2, 0, 0)]
@@ -387,6 +400,15 @@ class TestEnumeration:
             universe = universe_of_size(n)
             for k, pair in enumerate(pairs):
                 assert dag_of_mask(universe, 1 << k).arcs == frozenset({pair})
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dag_of_mask_sets_one_arc_per_bit(self, n):
+        # Encoding the decoded arcs gives back every acyclic mask.
+        universe = universe_of_size(n)
+        for mask in acyclic_arc_masks(n):
+            arcs = dag_of_mask(universe, mask).arcs
+            assert len(arcs) == mask.bit_count()
+            assert sum(1 << arc_bit(n, u, v) for u, v in arcs) == mask
 
     @pytest.mark.parametrize("mask", [1 << 2, 1 << 5, -1])
     def test_dag_of_mask_rejects_a_mask_outside_the_arc_range(self, mask):

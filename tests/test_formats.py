@@ -391,6 +391,21 @@ class TestLoad:
         assert str(err.value) == f"{path}: {message}"
         assert (err.value.source, err.value.line) == (str(path), None)
 
+    @pytest.mark.parametrize("load", [load_model, load_graph, load_dag])
+    def test_undecodable_byte_after_a_bom_at_its_file_offset(self, tmp_path, load):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xef\xbb\xbfvars: a b\n\xff\n")
+        with pytest.raises(FormatError) as err:
+            load(path)
+        message = "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_leading_bom_is_not_read(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(MODEL_TEXT, encoding="utf-8")
+        bom.write_text("\ufeff" + MODEL_TEXT, encoding="utf-8")
+        assert load_model(bom) == load_model(plain)
+
     def test_located_error_names_the_path_given(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("vars: a b\nI a | - | z\n")

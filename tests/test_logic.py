@@ -33,7 +33,6 @@ from cimodels.logic import (
     check_clause,
     clause_of_formula,
     entails,
-    eval_term,
     format_formula,
     format_term,
     formula_of_clause,
@@ -44,10 +43,9 @@ from cimodels.logic import (
     model_satisfies,
     parse_clause,
     parse_formula,
-    satisfies,
     term_variables,
 )
-from cimodels.logic import _check_depth, _fmt
+from cimodels.logic import _check_depth, _fmt, _value
 from cimodels.ugraph import MAX_GRAPH_ENUM_NODES, UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import (
@@ -59,6 +57,7 @@ from oracles import (
     random_formula,
     random_model,
     random_term,
+    swapped,
     universe_of_size,
 )
 
@@ -230,12 +229,15 @@ def depth_gated_calls(formula, term):
         "format_formula": lambda: format_formula(formula),
         "format_formula term": lambda: format_formula(atom),
         "format_term": lambda: format_term(term),
-        "satisfies": lambda: satisfies(valuation, formula, m),
-        "satisfies term": lambda: satisfies(valuation, atom, m),
-        "eval_term": lambda: eval_term(term, valuation),
         "atoms_of term": lambda: atoms_of(Not(atom)),
         "formula_variables term": lambda: formula_variables(Not(atom)),
         "is_valid_valuation term": lambda: is_valid_valuation(valuation, Not(atom), m),
+        "is_valid_valuation term second": lambda: is_valid_valuation(
+            valuation, Atom(Var("X2"), term, Var("X3")), m
+        ),
+        "is_valid_valuation term third": lambda: is_valid_valuation(
+            valuation, Atom(Var("X2"), Var("X3"), term), m
+        ),
         "term_variables": lambda: term_variables(term),
     }
 
@@ -286,7 +288,6 @@ class TestDepthGateInCode:
         # The parser accepts the same formulas at the gate.
         assert parse_formula(format_formula(f)) == f
         assert parse_formula(format_formula(atom)) == atom
-        assert eval_term(atom.t1, Valuation(m.universe, {"X1": 0b001})) == 0b001
 
     def test_printer_counts_its_parentheses(self):
         at_gate = right_ors(MAX_FORMULA_DEPTH // 2)
@@ -405,24 +406,29 @@ class TestPrinter:
 
 
 class TestEvalTerm:
+    """Term values (``_value``, which ``is_valid_valuation`` and the engine use) and valuations."""
+
     def setup_method(self):
         self.u = Universe(("a", "b", "c"))
 
     def test_complement_of_empty_is_universe(self):
-        v = Valuation(self.u, {})
-        assert eval_term(Complement(EMPTY), v) == self.u.full_mask
+        assert _value(Complement(EMPTY), {}, self.u.full_mask) == self.u.full_mask
 
     def test_intersection(self):
-        v = Valuation(self.u, {"X1": 0b001, "X2": 0b011})
-        assert eval_term(Intersection(Var("X1"), Var("X2")), v) == 0b001
+        values = {"X1": 0b001, "X2": 0b011}
+        assert _value(Intersection(Var("X1"), Var("X2")), values, self.u.full_mask) == 0b001
+
+    def test_union(self):
+        values = {"X1": 0b001, "X2": 0b100}
+        assert _value(Union_(Var("X1"), Var("X2")), values, self.u.full_mask) == 0b101
 
     def test_complement_of_var(self):
-        v = Valuation(self.u, {"X1": 0b001})
-        assert eval_term(Complement(Var("X1")), v) == 0b110
+        assert _value(Complement(Var("X1")), {"X1": 0b001}, self.u.full_mask) == 0b110
 
     def test_unbound_variable(self):
-        with pytest.raises(ValueError):
-            eval_term(Var("X9"), Valuation(self.u, {}))
+        m = IndependencyModel(self.u, frozenset())
+        with pytest.raises(ValueError, match="^unbound variable 'X9'$"):
+            is_valid_valuation(Valuation(self.u, {}), Atom(Var("X9"), EMPTY, EMPTY), m)
 
     def test_valuation_masks_validated(self):
         with pytest.raises(ValueError):
@@ -434,7 +440,7 @@ class TestEvalTerm:
         with pytest.raises(TypeError):
             v.assignment["X1"] = 1 << 5
         given["X1"] = 1 << 5  # the valuation keeps its own copy
-        assert eval_term(Var("X1"), v) == 0b001
+        assert v.assignment["X1"] == 0b001
 
 
 class TestValidValuation:
@@ -457,6 +463,16 @@ class TestValidValuation:
             is_valid_valuation(v, parse_formula("I(X1, X1, X1)"), m)
         assert str(err.value) == "valuation universe does not match the model universe"
 
+    @pytest.mark.parametrize("clash", range(3))
+    def test_clash_in_any_atom_invalidates(self, clash):
+        # Only the atom at ``clash`` is invalid: ``~(X2 + X3)`` is X1's set.
+        m = singleton_model()
+        v = Valuation(m.universe, {"X1": 0b001, "X2": 0b010, "X3": 0b100})
+        atoms = [parse_formula(text) for text in ("I(X1, X2, X3)", "I(X2, X3, X1)", "I(X3, empty, X2)")]
+        assert all(is_valid_valuation(v, atom, m) for atom in atoms)
+        atoms[clash] = parse_formula("I(X1, ~(X2 + X3), X3)")
+        assert not is_valid_valuation(v, And(atoms[0], Or(atoms[1], atoms[2])), m)
+
     def test_validity_monotone_in_subformulas(self):
         rng = random.Random(7)
         m = random_model(rng, universe_of_size(3), p=0.3)
@@ -470,43 +486,6 @@ class TestValidValuation:
             if is_valid_valuation(v, both, m):
                 assert is_valid_valuation(v, left, m)
                 assert is_valid_valuation(v, right, m)
-
-
-class TestSatisfies:
-    def test_atom_membership(self):
-        m = singleton_model()
-        v = Valuation(m.universe, {"X1": 0b001, "X2": 0, "X3": 0b010})
-        atom = parse_formula("I(X1, X2, X3)")
-        assert satisfies(v, atom, m)
-        assert not satisfies(v, Not(atom), m)
-
-    def test_invalid_valuation_rejected(self):
-        m = singleton_model()
-        v = Valuation(m.universe, {"X1": 0b001, "X2": 0b001, "X3": 0b010})
-        with pytest.raises(ValueError):
-            satisfies(v, parse_formula("I(X1, X2, X3)"), m)
-
-    def test_collider_symmetry_instance(self):
-        u = Universe(("1", "2", "3"))
-        m = Dag(u, frozenset({(0, 1), (2, 1)})).dsep_model()
-        v = Valuation(u, {"X1": 0b001, "X2": 0, "X3": 0b100})
-        assert satisfies(v, parse_formula(SYMMETRY), m)
-
-    def test_implication_semantics(self):
-        rng = random.Random(31)
-        m = random_model(rng, universe_of_size(3), p=0.3)
-        names = ["X1", "X2"]
-        checked = 0
-        while checked < 40:
-            left = random_formula(rng, names, depth=2)
-            right = random_formula(rng, names, depth=2)
-            arrow = implies(left, right)
-            v = Valuation(m.universe, {n: rng.randrange(8) for n in names})
-            if not is_valid_valuation(v, arrow, m):
-                continue
-            expected = (not satisfies(v, left, m)) or satisfies(v, right, m)
-            assert satisfies(v, arrow, m) == expected
-            checked += 1
 
 
 class TestModelSatisfies:
@@ -752,7 +731,7 @@ class TestEntails:
     def test_symmetry_entailed_by_causal_family(self):
         u = universe_of_size(3)
         given = Triple(0b001, 0, 0b010)
-        assert entails("causal", [given], given.reverse(), u)
+        assert entails("causal", [given], swapped(given), u)
 
     def test_unsupported_query_not_entailed(self):
         u = universe_of_size(3)
@@ -776,7 +755,7 @@ class TestEntails:
         # The given triples are read twice: once checked, once used.
         u = universe_of_size(3)
         given = [Triple(0b001, 0, 0b010), Triple(0b001, 0b100, 0b010)]
-        for query in (given[0].reverse(), given[1]):
+        for query in (swapped(given[0]), given[1]):
             expected = entails(family, given, query, u)
             assert entails(family, (t for t in given), query, u) == expected
             assert expected == (family != "all-models" or query in given)
@@ -791,7 +770,7 @@ class TestEntails:
                 given = rng.sample(triples, rng.randrange(3))
                 query = rng.choice(triples)
                 if given and rng.random() < 0.3:
-                    query = rng.choice(given).reverse()
+                    query = swapped(rng.choice(given))
                 for family in ("causal", "graph-isomorph"):
                     expected = entails_by_paths(family, given, query, u)
                     assert entails(family, given, query, u) == expected

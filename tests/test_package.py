@@ -20,7 +20,7 @@ HOMES = {
     logic: """MAX_VALUATION_CHECKS MAX_FORMULA_DEPTH Atom Clause Formula Term Var Empty
         EMPTY Complement Union_ Intersection Not And Or implies atoms_of formula_variables
         Valuation FormulaSyntaxError parse_formula parse_clause format_formula format_term
-        eval_term is_valid_valuation satisfies model_satisfies check_clause is_horn entails
+        is_valid_valuation model_satisfies check_clause is_horn entails
         clause_of_formula formula_of_clause""",
     represent: """RepresentabilityResult AxiomViolation SEMIGRAPHOID_AXIOM_FORMULAS
         dependent_always is_graph_isomorph is_causal scan_causal_witness check_semigraphoid""",

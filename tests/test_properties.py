@@ -39,6 +39,7 @@ from oracles import (
     check_semigraphoid_reference,
     random_formula,
     random_term,
+    swapped,
     universe_of_size,
 )
 
@@ -50,7 +51,7 @@ def random_models(draw):
     n = draw(st.integers(1, 5))
     chosen = draw(st.sets(st.sampled_from(all_triples(n)), max_size=150))
     if draw(st.booleans()):
-        chosen |= {t.reverse() for t in chosen}
+        chosen |= {swapped(t) for t in chosen}
     return IndependencyModel(universe_of_size(n), chosen)
 
 
