@@ -36,7 +36,7 @@ from .ugraph import MAX_GRAPH_ENUM_NODES, UndirectedGraph, enumerate_undirected_
 
 # The names of these modules load on first use (PEP 562), so ``import
 # cimodels`` runs only the four modules above: a command that evaluates no
-# formula never builds the logic's dataclasses, and one that checks no class
+# formula never builds the logic's record classes, and one that checks no class
 # never loads the recognizers. Each name maps to its module, and each module's
 # own name to itself, so ``cimodels.logic`` works after a bare ``import cimodels``.
 _LAZY = {

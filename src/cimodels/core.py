@@ -9,7 +9,6 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import product, repeat, starmap
 from operator import lshift, or_
@@ -43,8 +42,51 @@ def submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-@dataclass(frozen=True)
-class Universe:
+_set = object.__setattr__  # past Record.__setattr__, into the compact inline values
+
+
+class Record:
+    """Base of the library's immutable value types, in place of a frozen dataclass.
+
+    A subclass's annotations are its fields. As a dataclass does, it generates
+    ``==`` and ``hash`` over the field tuple, and an ``__init__`` that sets the
+    fields with ``_set`` unless the subclass writes its own; ``repr`` shows the
+    fields, and every write is refused.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        mine = "".join(f"self.{f}," for f in fields)
+        code = [
+            "def __eq__(self, other):",
+            "    if other.__class__ is not self.__class__: return NotImplemented",
+            f"    return ({mine}) == ({mine.replace('self.', 'other.')})",
+            f"def __hash__(self): return hash(({mine}))",
+        ]
+        if fields and "__init__" not in vars(cls):
+            code += [f"def __init__(self, {', '.join(fields)}):"]
+            code += [f"    _set(self, {f!r}, {f})" for f in fields]
+        exec("\n".join(code), {"_set": _set}, made := {})
+        for name, method in made.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+    def __repr__(self) -> str:
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded only when a write is refused
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Universe(Record):
     """An ordered list of distinct variable labels.
 
     The position of a label is its bit index in every mask interpreted
@@ -54,11 +96,10 @@ class Universe:
 
     names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if isinstance(self.names, str):
-            raise ValueError(f"expected a collection of labels, not the string {self.names!r}")
-        names = tuple(self.names)
-        object.__setattr__(self, "names", names)
+    def __init__(self, names: Iterable[str]) -> None:
+        if isinstance(names, str):
+            raise ValueError(f"expected a collection of labels, not the string {names!r}")
+        names = tuple(names)
         if not 1 <= len(names) <= MAX_UNIVERSE_SIZE:
             raise ValueError(
                 f"universe must have between 1 and {MAX_UNIVERSE_SIZE} labels, got {len(names)}"
@@ -67,8 +108,9 @@ class Universe:
             raise ValueError("labels must be nonempty strings")
         if len(set(names)) != len(names):
             raise ValueError("labels must be pairwise distinct")
-        object.__setattr__(self, "n", len(names))
-        object.__setattr__(self, "full_mask", (1 << len(names)) - 1)
+        _set(self, "names", names)
+        _set(self, "n", len(names))
+        _set(self, "full_mask", (1 << len(names)) - 1)
 
     @cached_property
     def _bits(self) -> dict[str, int]:
@@ -120,19 +162,25 @@ def check_disjoint(a: int, c: int, b: int) -> None:
         raise ValueError(f"triple sets must be pairwise disjoint: {a:#x}, {c:#x}, {b:#x}")
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(Record):
     """One independence statement: an ordered triple of pairwise-disjoint sets.
 
     ``a`` and ``b`` are the two related sets, ``c`` the conditioning set.
     """
 
+    __slots__ = ("a", "c", "b")
     a: int
     c: int
     b: int
 
-    def __post_init__(self) -> None:
-        check_disjoint(self.a, self.c, self.b)
+    def __init__(self, a: int, c: int, b: int) -> None:
+        check_disjoint(a, c, b)
+        _set(self, "a", a)
+        _set(self, "c", c)
+        _set(self, "b", b)
+
+    def __reduce__(self) -> tuple:
+        return Triple, (self.a, self.c, self.b)  # the default sets slots through __setattr__
 
     @property
     def span(self) -> int:
@@ -290,8 +338,7 @@ def semigraphoid_closed(n: int, keys: frozenset[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True, init=False)
-class IndependencyModel:
+class IndependencyModel(Record):
     """An extensional set of independence triples over a universe.
 
     No symmetry or axiom closure is applied: the model holds exactly the

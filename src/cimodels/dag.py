@@ -9,14 +9,15 @@ runs them all forward: ``_forward_arc_masks`` holds each order's arcs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import (
     IndependencyModel,
+    Record,
     Universe,
+    _set,
     bits_of,
     check_disjoint,
     separated,
@@ -28,8 +29,7 @@ from .ugraph import UndirectedGraph, _out_masks, reachable_mask
 MAX_DAG_ENUM_NODES = 5
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(Record):
     """A directed acyclic graph over a universe; arcs are ordered index pairs.
 
     Acyclicity is checked at construction; a cyclic arc set raises
@@ -40,11 +40,12 @@ class Dag:
     universe: Universe
     arcs: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        n = self.universe.n
-        arcs = frozenset(self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        kids = vars(self)["child_masks"] = _out_masks(self.universe, arcs, "arc")
+    def __init__(self, universe: Universe, arcs: Iterable[tuple[int, int]]) -> None:
+        n, arcs = universe.n, frozenset(arcs)
+        kids = _out_masks(universe, arcs, "arc")
+        _set(self, "universe", universe)
+        _set(self, "arcs", arcs)
+        _set(self, "child_masks", kids)
         # Peel sinks until a pass peels none: a peeled node stays peelable, so
         # each pass rechecks every node. What is left is the nodes on a cycle
         # and every node that reaches one.

@@ -20,14 +20,22 @@ valuation is valid when each atom's three term values are pairwise disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, Literal, Mapping, Sequence
 
-from .core import IndependencyModel, Triple, Universe, ValuationBudgetError, bits_of, key_places
+from .core import (
+    IndependencyModel,
+    Record,
+    Triple,
+    Universe,
+    ValuationBudgetError,
+    _set,
+    bits_of,
+    key_places,
+)
 from .dag import Dag, enumerate_dags
 from .ugraph import UndirectedGraph, enumerate_undirected_graphs
 
@@ -57,29 +65,24 @@ class FormulaSyntaxError(ValueError):
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class Empty:
+class Empty(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Complement:
+class Complement(Record):
     operand: "Term"
 
 
-@dataclass(frozen=True)
-class Union_:
+class Union_(Record):
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(Record):
     left: "Term"
     right: "Term"
 
@@ -92,26 +95,22 @@ EMPTY = Empty()
 # Formulas
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     t1: Term
     t2: Term
     t3: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     operand: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
@@ -124,8 +123,7 @@ def implies(antecedent: Formula, consequent: Formula) -> Formula:
     return Or(Not(antecedent), consequent)
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(Record):
     """A disjunction of literals, split into its negated and plain atoms.
 
     Read as a rule: if all ``negatives`` hold then some positive holds.
@@ -134,9 +132,9 @@ class Clause:
     negatives: tuple[Atom, ...]
     positives: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "negatives", tuple(self.negatives))
-        object.__setattr__(self, "positives", tuple(self.positives))
+    def __init__(self, negatives: Iterable[Atom], positives: Iterable[Atom]) -> None:
+        _set(self, "negatives", tuple(negatives))
+        _set(self, "positives", tuple(positives))
         if not self.negatives and not self.positives:
             raise ValueError("a clause needs at least one literal")
 
@@ -469,17 +467,20 @@ def _sorted_names(names: set[str]) -> tuple[str, ...]:
 # Valuations and satisfaction
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Variable sets assigned to term variables over a universe; ``assignment`` is read-only."""
 
     universe: Universe
     assignment: Mapping[str, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+    def __init__(self, universe: Universe, assignment: Mapping[str, int]) -> None:
+        _set(self, "universe", universe)
+        _set(self, "assignment", MappingProxyType(dict(assignment)))
         for name, mask in self.assignment.items():
             self.universe.check_mask(mask)
+
+    def __reduce__(self) -> tuple:
+        return Valuation, (self.universe, dict(self.assignment))  # a mappingproxy won't pickle
 
 
 def _value(term: Term, values: Mapping[str, int], full: int) -> int:

@@ -5,11 +5,11 @@ plus the semi-graphoid closure check.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
 from .core import (
     IndependencyModel,
+    Record,
     Triple,
     bits_of,
     disjoint_keys,
@@ -34,8 +34,7 @@ SEMIGRAPHOID_AXIOM_FORMULAS: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class RepresentabilityResult:
+class RepresentabilityResult(Record):
     """Outcome of a representability decision.
 
     ``witness`` is present iff ``representable``. ``first_discrepancy`` is
@@ -48,8 +47,7 @@ class RepresentabilityResult:
     first_discrepancy: Triple | None
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     """One failed schema instance: premises held but the conclusion did not."""
 
     axiom: str

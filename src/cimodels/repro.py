@@ -10,10 +10,9 @@ the outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
-from .core import Triple, Universe
+from .core import Record, Triple, Universe
 from .dag import Dag
 from .represent import check_semigraphoid, dependent_always, scan_causal_witness
 
@@ -28,8 +27,7 @@ RESTRICTION_LABELS = ("1", "2", "3", "4")
 DAGS_ON_FOUR_NODES = 543
 
 
-@dataclass(frozen=True)
-class ReproReport:
+class ReproReport(Record):
     """Outcome of the counterexample verification run."""
 
     statements_checked: tuple[tuple[str, bool], ...]

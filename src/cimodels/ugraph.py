@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
-from .core import IndependencyModel, Universe, bits_of, separated, separated_keys
+from .core import IndependencyModel, Record, Universe, _set, bits_of, separated, separated_keys
 
 MAX_GRAPH_ENUM_NODES = 6
 
@@ -45,8 +44,7 @@ def _out_masks(universe: Universe, pairs: Iterable[tuple[int, int]], kind: str) 
     return tuple(masks)
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
+class UndirectedGraph(Record):
     """An undirected graph over a universe; edges are unordered index pairs.
 
     Construction also sets the attribute ``neighbor_masks`` (each node's
@@ -56,12 +54,12 @@ class UndirectedGraph:
     universe: Universe
     edges: frozenset[tuple[int, int]]
 
-    def __post_init__(self) -> None:
-        edges = tuple(self.edges)  # may be a one-shot iterator
+    def __init__(self, universe: Universe, edges: Iterable[tuple[int, int]]) -> None:
+        edges = tuple(edges)  # may be a one-shot iterator
         both = chain(edges, ((v, u) for u, v in edges))  # the given pairs are checked first
-        vars(self)["neighbor_masks"] = _out_masks(self.universe, both, "edge")
-        ordered = frozenset({(u, v) if u < v else (v, u) for u, v in edges})
-        object.__setattr__(self, "edges", ordered)
+        _set(self, "universe", universe)
+        _set(self, "neighbor_masks", _out_masks(universe, both, "edge"))
+        _set(self, "edges", frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
 
     def has_edge(self, u: int, v: int) -> bool:
         self.universe.check_nodes(u, v)

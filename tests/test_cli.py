@@ -499,7 +499,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import cimodels, cimodels.cli
 code = cimodels.cli.main(sys.argv[2:])
-watched = ("cimodels.logic", "cimodels.represent", "cimodels.repro", "json")
+watched = ("cimodels.logic", "cimodels.represent", "cimodels.repro", "json", "dataclasses", "inspect")
 print(code, *(name for name in watched if name in sys.modules), file=sys.stderr)
 """
 

@@ -1,8 +1,10 @@
 """Universe, triple, and model basics."""
 
-import dataclasses
+import copy
+import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 from itertools import islice
 
 import pytest
@@ -21,7 +23,22 @@ from cimodels.core import (
     unpack_keys,
 )
 from cimodels.dag import Dag, enumerate_dags
-from cimodels.represent import dependent_always
+from cimodels.logic import (
+    EMPTY,
+    And,
+    Atom,
+    Clause,
+    Complement,
+    Empty,
+    Intersection,
+    Not,
+    Or,
+    Union_,
+    Valuation,
+    Var,
+)
+from cimodels.represent import AxiomViolation, RepresentabilityResult, dependent_always
+from cimodels.repro import ReproReport
 from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reachable_mask
 
 from oracles import ReferenceModel, random_model, swapped, universe_of_size
@@ -73,11 +90,11 @@ class TestUniverse:
 
     def test_n_and_full_mask_are_not_fields(self):
         u = Universe(("a", "b", "c"))
-        assert [f.name for f in dataclasses.fields(u)] == ["names"]
         assert repr(u) == "Universe(names=('a', 'b', 'c'))"
         assert u == Universe(["a", "b", "c"]) and hash(u) == hash(Universe(("a", "b", "c")))
+        assert hash(u) == hash((u.names,))
         assert u != Universe(("a", "b")) and u != Universe(("c", "b", "a"))
-        wider = dataclasses.replace(u, names=("a", "b", "c", "d"))
+        wider = Universe((*u.names, "d"))
         assert (wider.n, wider.full_mask) == (4, 0b1111)
         assert (u.n, u.full_mask) == (3, 0b111)
 
@@ -333,3 +350,120 @@ class TestRestrict:
         r = m.restrict(0b1110)
         assert r.universe.names == ("q", "r", "s")
         assert r.triples == frozenset({Triple(0b001, 0b100, 0b010)})
+
+
+def _records():
+    """One value of each of the library's 19 record types: its builder, its
+    field names in order, and its exact ``repr``."""
+
+    def u():
+        return Universe(("a", "b"))
+
+    def atom():
+        return Atom(Var("X"), EMPTY, Var("Y"))
+
+    two = "Universe(names=('a', 'b'))"
+    x, y = "Var(name='X')", "Var(name='Y')"
+    atom_text = f"Atom(t1={x}, t2=Empty(), t3={y})"
+    dag = f"Dag(universe={two}, arcs=frozenset({{(0, 1)}}))"
+    return {
+        "Universe": (u, ("names",), two),
+        "Triple": (lambda: Triple(1, 2, 4), ("a", "c", "b"), "Triple(a=1, c=2, b=4)"),
+        "IndependencyModel": (
+            lambda: IndependencyModel(u(), [Triple(1, 0, 2)]),
+            ("universe", "keys"),
+            f"IndependencyModel(universe={two}, keys=frozenset({{{pack_key(2, 1, 0, 2)}}}))",
+        ),
+        "Dag": (lambda: Dag(u(), {(0, 1)}), ("universe", "arcs"), dag),
+        "UndirectedGraph": (
+            lambda: UndirectedGraph(u(), {(1, 0)}),
+            ("universe", "edges"),
+            f"UndirectedGraph(universe={two}, edges=frozenset({{(0, 1)}}))",
+        ),
+        "Var": (lambda: Var("X"), ("name",), x),
+        "Empty": (Empty, (), "Empty()"),
+        "Complement": (lambda: Complement(Var("X")), ("operand",), f"Complement(operand={x})"),
+        "Union_": (
+            lambda: Union_(Var("X"), EMPTY), ("left", "right"), f"Union_(left={x}, right=Empty())"
+        ),
+        "Intersection": (
+            lambda: Intersection(EMPTY, Var("Y")),
+            ("left", "right"),
+            f"Intersection(left=Empty(), right={y})",
+        ),
+        "Atom": (atom, ("t1", "t2", "t3"), atom_text),
+        "Not": (lambda: Not(atom()), ("operand",), f"Not(operand={atom_text})"),
+        "And": (
+            lambda: And(atom(), Not(atom())),
+            ("left", "right"),
+            f"And(left={atom_text}, right=Not(operand={atom_text}))",
+        ),
+        "Or": (
+            lambda: Or(Not(atom()), atom()),
+            ("left", "right"),
+            f"Or(left=Not(operand={atom_text}), right={atom_text})",
+        ),
+        "Clause": (
+            lambda: Clause([atom()], ()),
+            ("negatives", "positives"),
+            f"Clause(negatives=({atom_text},), positives=())",
+        ),
+        "Valuation": (
+            lambda: Valuation(u(), {"X": 1}),
+            ("universe", "assignment"),
+            f"Valuation(universe={two}, assignment=mappingproxy({{'X': 1}}))",
+        ),
+        "RepresentabilityResult": (
+            lambda: RepresentabilityResult(True, Dag(u(), {(0, 1)}), None),
+            ("representable", "witness", "first_discrepancy"),
+            f"RepresentabilityResult(representable=True, witness={dag}, first_discrepancy=None)",
+        ),
+        "AxiomViolation": (
+            lambda: AxiomViolation("symmetry", (Triple(1, 0, 2),), Triple(2, 0, 1)),
+            ("axiom", "premises", "conclusion"),
+            "AxiomViolation(axiom='symmetry', premises=(Triple(a=1, c=0, b=2),),"
+            " conclusion=Triple(a=2, c=0, b=1))",
+        ),
+        "ReproReport": (
+            lambda: ReproReport(
+                statements_checked=(("s", True),),
+                dag_count_scanned=543,
+                causal_witness_found=False,
+                semigraphoid_ok=True,
+            ),
+            ("statements_checked", "dag_count_scanned", "causal_witness_found", "semigraphoid_ok"),
+            "ReproReport(statements_checked=(('s', True),), dag_count_scanned=543,"
+            " causal_witness_found=False, semigraphoid_ok=True)",
+        ),
+    }
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a Valuation's read-only mapping is unhashable
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", list(_records()))
+def test_record_contract(name):
+    # What a frozen dataclass gave each type: == and hash over the field tuple,
+    # Name(field=value, ...), refused writes, and pickle and deepcopy round trips.
+    build, fields, shown = _records()[name]
+    value, twin = build(), build()
+    values = tuple(getattr(value, f) for f in fields)
+    assert type(value).__name__ == name
+    assert value == twin and not value != twin and value is not twin
+    assert value != values and value.__eq__(values) is NotImplemented
+    assert _hash_or_error(value) == _hash_or_error(twin) == _hash_or_error(values)
+    assert repr(value) == shown
+    assert issubclass(FrozenInstanceError, AttributeError)
+    field = fields[0] if fields else "name"
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+        setattr(value, field, None)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+        delattr(value, field)
+    assert tuple(getattr(value, f) for f in fields) == values
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is type(value) and copied == value and repr(copied) == shown
+        assert _hash_or_error(copied) == _hash_or_error(value)

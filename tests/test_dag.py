@@ -1,6 +1,5 @@
 """DAG construction, both d-separation deciders, and DAG enumeration."""
 
-import dataclasses
 import pickle
 import random
 import re
@@ -96,8 +95,7 @@ class TestDagInvariants:
         # the universe and the arcs alone, before and after the lazy tables.
         d = collider()
         same = Dag(d.universe, {(2, 1), (0, 1)})
-        assert [f.name for f in dataclasses.fields(Dag)] == ["universe", "arcs"]
-        assert d == same and hash(d) == hash(same)
+        assert d == same and hash(d) == hash(same) and hash(d) == hash((d.universe, d.arcs))
         assert repr(d) == f"Dag(universe={d.universe!r}, arcs={d.arcs!r})"
         assert d.parent_masks == (0, 0b101, 0)  # fills the lazy walk table
         assert d == same and hash(d) == hash(same) and repr(d) == repr(same)
@@ -106,16 +104,16 @@ class TestDagInvariants:
             assert loaded == dag and hash(loaded) == hash(dag) and repr(loaded) == repr(dag)
             assert loaded.child_masks == (0b010, 0, 0b010)
             assert not loaded.d_separates(0b001, 0b010, 0b100)
-        assert dataclasses.replace(d, arcs={(1, 0)}).child_masks == (0, 0b001, 0)
+        assert Dag(d.universe, {(1, 0)}).child_masks == (0, 0b001, 0)
         # A graph's neighbour masks are set the same way.
         g = UndirectedGraph(d.universe, {(1, 0), (1, 2)})
         flipped = UndirectedGraph(d.universe, {(0, 1), (2, 1)})
-        assert [f.name for f in dataclasses.fields(UndirectedGraph)] == ["universe", "edges"]
         assert g == flipped and hash(g) == hash(flipped) and repr(g) == repr(flipped)
+        assert hash(g) == hash((g.universe, frozenset({(0, 1), (1, 2)})))
         assert repr(g) == f"UndirectedGraph(universe={g.universe!r}, edges={g.edges!r})"
         loaded = pickle.loads(pickle.dumps(g))
         assert loaded == g and loaded.neighbor_masks == (0b010, 0b101, 0b010)
-        assert dataclasses.replace(g, edges={(2, 0)}).neighbor_masks == (0b100, 0, 0b001)
+        assert UndirectedGraph(g.universe, {(2, 0)}).neighbor_masks == (0b100, 0, 0b001)
 
 
 def descendants(d, w):

@@ -797,10 +797,10 @@ class TestEntails:
             gate(n)
         t = Triple(0b01, 0, 0b10)
 
-        def refuse(self):
+        def refuse(self, *args):
             raise AssertionError(f"{built.__name__} built past the gate")
 
-        monkeypatch.setattr(built, "__post_init__", refuse)
+        monkeypatch.setattr(built, "__init__", refuse)
         with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
             entails(family, [t], t, universe_of_size(n))
         assert not entails("all-models", [], t, universe_of_size(n))
