@@ -76,7 +76,6 @@ _LAZY = {
             "parse_formula",
         ),
         "represent": (
-            "SEMIGRAPHOID_AXIOM_FORMULAS",
             "AxiomViolation",
             "RepresentabilityResult",
             "check_semigraphoid",

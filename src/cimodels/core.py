@@ -48,16 +48,19 @@ _set = object.__setattr__  # past Record.__setattr__, into the compact inline va
 class Record:
     """Base of the library's immutable value types, in place of a frozen dataclass.
 
-    A subclass's annotations are its fields. As a dataclass does, it generates
-    ``==`` and ``hash`` over the field tuple, and an ``__init__`` that sets the
-    fields with ``_set`` unless the subclass writes its own; ``repr`` shows the
-    fields, and every write is refused.
+    A direct subclass's annotations are its fields, kept in ``__match_args__``.
+    As a dataclass does, it generates ``==`` and ``hash`` over the field tuple,
+    and an ``__init__`` that sets the fields with ``_set`` unless the class
+    writes its own; ``repr`` shows the fields, and every write is refused.
+    Deeper subclasses inherit all of these, as undecorated dataclass subclasses do.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        fields = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        if Record not in cls.__bases__:
+            return
+        fields = cls.__match_args__ = tuple(vars(cls).get("__annotations__", ()))
         mine = "".join(f"self.{f}," for f in fields)
         code = [
             "def __eq__(self, other):",
@@ -74,7 +77,7 @@ class Record:
             setattr(cls, name, method)
 
     def __repr__(self) -> str:
-        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields)
+        shown = (f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -180,7 +183,7 @@ class Triple(Record):
         _set(self, "b", b)
 
     def __reduce__(self) -> tuple:
-        return Triple, (self.a, self.c, self.b)  # the default sets slots through __setattr__
+        return type(self), (self.a, self.c, self.b)  # the default sets slots through __setattr__
 
     @property
     def span(self) -> int:

@@ -24,7 +24,7 @@ from .core import (
     separated_keys,
     submasks,
 )
-from .ugraph import UndirectedGraph, _out_masks, reachable_mask
+from .ugraph import _out_masks, reachable_mask
 
 MAX_DAG_ENUM_NODES = 5
 
@@ -117,12 +117,12 @@ class Dag(Record):
         """
         check_disjoint(a, c, b)  # before the mask check, as in the other deciders
         self.universe.check_mask(a | c | b)
-        edges = set()
-        for v in bits_of(reachable_mask(self.parent_masks, a | c | b, 0)):
-            # v and its parents become a clique (ancestral closures are parent-closed); a
-            # list, since combinations over a generator filled CPython's tuple free lists.
-            edges.update(combinations(list(bits_of(self.parent_masks[v] | 1 << v)), 2))
-        return UndirectedGraph(self.universe, frozenset(edges)).separates(a, c, b)
+        parents, moral = self.parent_masks, [0] * self.universe.n
+        for v in bits_of(reachable_mask(parents, a | c | b, 0)):
+            clique = parents[v] | 1 << v  # v and its parents, all inside the closure
+            for u in bits_of(clique):
+                moral[u] |= clique  # a node's own bit does not change a closure
+        return not (a and b and reachable_mask(moral, a, c) & b)
 
     def dsep_model(self) -> IndependencyModel:
         """The model of all disjoint triples this DAG d-separates."""

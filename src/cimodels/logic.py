@@ -449,11 +449,6 @@ def _atoms_and_size(formula: Formula) -> tuple[tuple[Atom, ...], int]:
     return tuple(seen), size
 
 
-def term_variables(term: Term) -> set[str]:
-    """Names of the variables in ``term``; ``ValueError`` past ``MAX_FORMULA_DEPTH``."""
-    return _check_depth(term)
-
-
 def formula_variables(formula: Formula) -> tuple[str, ...]:
     """Sorted names of the variables occurring in the formula (see ``_sorted_names``)."""
     return _sorted_names(set().union(*map(_check_depth, atoms_of(formula))))
@@ -480,7 +475,7 @@ class Valuation(Record):
             self.universe.check_mask(mask)
 
     def __reduce__(self) -> tuple:
-        return Valuation, (self.universe, dict(self.assignment))  # a mappingproxy won't pickle
+        return type(self), (self.universe, dict(self.assignment))  # a mappingproxy won't pickle
 
 
 def _value(term: Term, values: Mapping[str, int], full: int) -> int:

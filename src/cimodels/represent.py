@@ -22,18 +22,6 @@ from .core import (
 from .dag import Dag, _forward_arc_masks, acyclic_arc_masks, arc_bit, dag_of_mask
 from .ugraph import UndirectedGraph
 
-# The four closure schemata checked by check_semigraphoid, as formula text
-# for the independency logic. Literature-standard forms; check_semigraphoid
-# hard-codes the same instantiations, and the test suite cross-validates the
-# two implementations against each other.
-SEMIGRAPHOID_AXIOM_FORMULAS: dict[str, str] = {
-    "symmetry": "I(X1, X2, X3) -> I(X3, X2, X1)",
-    "decomposition": "I(X1, X2, X3 + X4) -> I(X1, X2, X3)",
-    "weak_union": "I(X1, X2, X3 + X4) -> I(X1, X2 + X4, X3)",
-    "contraction": "I(X1, X2 + X3, X4) & I(X1, X2, X3) -> I(X1, X2, X3 + X4)",
-}
-
-
 class RepresentabilityResult(Record):
     """Outcome of a representability decision.
 

@@ -61,10 +61,6 @@ class UndirectedGraph(Record):
         _set(self, "neighbor_masks", _out_masks(universe, both, "edge"))
         _set(self, "edges", frozenset({(u, v) if u < v else (v, u) for u, v in edges}))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.universe.check_nodes(u, v)
-        return (self.neighbor_masks[u] >> v) & 1 == 1
-
     def separates(self, a: int, c: int, b: int) -> bool:
         """True iff every path from a node of ``a`` to a node of ``b`` meets ``c``.
 

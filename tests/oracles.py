@@ -231,6 +231,18 @@ def marginal_edges_by_paths(graph, v_mask: int) -> set[tuple[int, int]]:
     return edges
 
 
+# The four closure schemata checked by check_semigraphoid, as formula text
+# for the independency logic. Literature-standard forms; check_semigraphoid
+# hard-codes the same instantiations, and the tests cross-validate the two
+# against each other.
+SEMIGRAPHOID_AXIOM_FORMULAS: dict[str, str] = {
+    "symmetry": "I(X1, X2, X3) -> I(X3, X2, X1)",
+    "decomposition": "I(X1, X2, X3 + X4) -> I(X1, X2, X3)",
+    "weak_union": "I(X1, X2, X3 + X4) -> I(X1, X2 + X4, X3)",
+    "contraction": "I(X1, X2 + X3, X4) & I(X1, X2, X3) -> I(X1, X2, X3 + X4)",
+}
+
+
 def semigraphoid_violations_by_placements(model) -> set[tuple[str, Triple]]:
     """Violated schema instances found by looping every placement of four
     disjoint sets, as (schema name, missing conclusion) pairs.

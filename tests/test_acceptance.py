@@ -25,7 +25,6 @@ from cimodels.logic import (
     parse_formula,
 )
 from cimodels.represent import (
-    SEMIGRAPHOID_AXIOM_FORMULAS,
     check_semigraphoid,
     is_causal,
     is_graph_isomorph,
@@ -34,6 +33,7 @@ from cimodels.repro import verify_counterexample
 from cimodels.ugraph import enumerate_undirected_graphs
 
 from oracles import (
+    SEMIGRAPHOID_AXIOM_FORMULAS,
     check_clause_bruteforce,
     dag_count,
     random_clause,

@@ -189,24 +189,19 @@ class TestKeyCodec:
 
 
 NODE_CALLS = {
-    "has_edge first": lambda g, d, m, i: g.has_edge(i, 1),
-    "has_edge second": lambda g, d, m, i: g.has_edge(1, i),
-    "dependent_always": lambda g, d, m, i: dependent_always(m, i, 1),
-    "dependent_always second": lambda g, d, m, i: dependent_always(m, 1, i),
+    "dependent_always": lambda m, i: dependent_always(m, i, 1),
+    "dependent_always second": lambda m, i: dependent_always(m, 1, i),
 }
 
 
 @pytest.mark.parametrize("node", [-1, -3, 3, 9])
 @pytest.mark.parametrize("call", NODE_CALLS)
 def test_node_index_outside_the_universe_rejected(call, node):
-    # A negative index must not wrap to the last node (has_edge(-1, 1)
-    # would read the edge (1, 2)) or shift by a negative count, and a large
-    # one must not run past the mask tables.
-    u = universe_of_size(3)
-    graph = UndirectedGraph(u, frozenset({(1, 2)}))
-    dag = Dag(u, frozenset({(1, 2)}))
+    # A negative index must not wrap to the last node or shift by a negative
+    # count, and a large one must not run past the mask tables.
+    graph = UndirectedGraph(universe_of_size(3), frozenset({(1, 2)}))
     with pytest.raises(ValueError, match=f"^node {node} outside the 3-label universe$"):
-        NODE_CALLS[call](graph, dag, graph.separation_model(), node)
+        NODE_CALLS[call](graph.separation_model(), node)
 
 
 # Pair lists on 3 labels and, per bad pair, the text each constructor raises
@@ -354,13 +349,14 @@ class TestRestrict:
 
 def _records():
     """One value of each of the library's 19 record types: its builder, its
-    field names in order, and its exact ``repr``."""
+    field names in order, and its exact ``repr``. A builder given a subclass
+    of the type builds the same value as that subclass."""
 
-    def u():
-        return Universe(("a", "b"))
+    def u(kind=Universe):
+        return kind(("a", "b"))
 
-    def atom():
-        return Atom(Var("X"), EMPTY, Var("Y"))
+    def atom(kind=Atom):
+        return kind(Var("X"), EMPTY, Var("Y"))
 
     two = "Universe(names=('a', 'b'))"
     x, y = "Var(name='X')", "Var(name='Y')"
@@ -368,64 +364,68 @@ def _records():
     dag = f"Dag(universe={two}, arcs=frozenset({{(0, 1)}}))"
     return {
         "Universe": (u, ("names",), two),
-        "Triple": (lambda: Triple(1, 2, 4), ("a", "c", "b"), "Triple(a=1, c=2, b=4)"),
+        "Triple": (lambda kind=Triple: kind(1, 2, 4), ("a", "c", "b"), "Triple(a=1, c=2, b=4)"),
         "IndependencyModel": (
-            lambda: IndependencyModel(u(), [Triple(1, 0, 2)]),
+            lambda kind=IndependencyModel: kind(u(), [Triple(1, 0, 2)]),
             ("universe", "keys"),
             f"IndependencyModel(universe={two}, keys=frozenset({{{pack_key(2, 1, 0, 2)}}}))",
         ),
-        "Dag": (lambda: Dag(u(), {(0, 1)}), ("universe", "arcs"), dag),
+        "Dag": (lambda kind=Dag: kind(u(), {(0, 1)}), ("universe", "arcs"), dag),
         "UndirectedGraph": (
-            lambda: UndirectedGraph(u(), {(1, 0)}),
+            lambda kind=UndirectedGraph: kind(u(), {(1, 0)}),
             ("universe", "edges"),
             f"UndirectedGraph(universe={two}, edges=frozenset({{(0, 1)}}))",
         ),
-        "Var": (lambda: Var("X"), ("name",), x),
-        "Empty": (Empty, (), "Empty()"),
-        "Complement": (lambda: Complement(Var("X")), ("operand",), f"Complement(operand={x})"),
+        "Var": (lambda kind=Var: kind("X"), ("name",), x),
+        "Empty": (lambda kind=Empty: kind(), (), "Empty()"),
+        "Complement": (
+            lambda kind=Complement: kind(Var("X")), ("operand",), f"Complement(operand={x})"
+        ),
         "Union_": (
-            lambda: Union_(Var("X"), EMPTY), ("left", "right"), f"Union_(left={x}, right=Empty())"
+            lambda kind=Union_: kind(Var("X"), EMPTY),
+            ("left", "right"),
+            f"Union_(left={x}, right=Empty())",
         ),
         "Intersection": (
-            lambda: Intersection(EMPTY, Var("Y")),
+            lambda kind=Intersection: kind(EMPTY, Var("Y")),
             ("left", "right"),
             f"Intersection(left=Empty(), right={y})",
         ),
         "Atom": (atom, ("t1", "t2", "t3"), atom_text),
-        "Not": (lambda: Not(atom()), ("operand",), f"Not(operand={atom_text})"),
+        "Not": (lambda kind=Not: kind(atom()), ("operand",), f"Not(operand={atom_text})"),
         "And": (
-            lambda: And(atom(), Not(atom())),
+            lambda kind=And: kind(atom(), Not(atom())),
             ("left", "right"),
             f"And(left={atom_text}, right=Not(operand={atom_text}))",
         ),
         "Or": (
-            lambda: Or(Not(atom()), atom()),
+            lambda kind=Or: kind(Not(atom()), atom()),
             ("left", "right"),
             f"Or(left=Not(operand={atom_text}), right={atom_text})",
         ),
         "Clause": (
-            lambda: Clause([atom()], ()),
+            lambda kind=Clause: kind([atom()], ()),
             ("negatives", "positives"),
             f"Clause(negatives=({atom_text},), positives=())",
         ),
         "Valuation": (
-            lambda: Valuation(u(), {"X": 1}),
+            lambda kind=Valuation: kind(u(), {"X": 1}),
             ("universe", "assignment"),
             f"Valuation(universe={two}, assignment=mappingproxy({{'X': 1}}))",
         ),
         "RepresentabilityResult": (
-            lambda: RepresentabilityResult(True, Dag(u(), {(0, 1)}), None),
+            lambda kind=RepresentabilityResult: kind(True, Dag(u(), {(0, 1)}), None),
             ("representable", "witness", "first_discrepancy"),
             f"RepresentabilityResult(representable=True, witness={dag}, first_discrepancy=None)",
         ),
         "AxiomViolation": (
-            lambda: AxiomViolation("symmetry", (Triple(1, 0, 2),), Triple(2, 0, 1)),
+            lambda kind=AxiomViolation: kind("symmetry", (Triple(1, 0, 2),), Triple(2, 0, 1)),
             ("axiom", "premises", "conclusion"),
             "AxiomViolation(axiom='symmetry', premises=(Triple(a=1, c=0, b=2),),"
             " conclusion=Triple(a=2, c=0, b=1))",
         ),
         "ReproReport": (
-            lambda: ReproReport(
+            lambda kind=ReproReport: kind(
                 statements_checked=(("s", True),),
                 dag_count_scanned=543,
                 causal_witness_found=False,
@@ -438,6 +438,38 @@ def _records():
     }
 
 
+# Per type that validates its arguments, a builder of a refused value and the
+# start of the message it raises.
+REFUSED = {
+    "Universe": (lambda kind: kind(("a", "a")), "labels must be pairwise distinct"),
+    "Triple": (lambda kind: kind(1, 1, 2), "triple sets must be pairwise disjoint"),
+    "IndependencyModel": (
+        lambda kind: kind(universe_of_size(1), [Triple(1, 0, 2)]),
+        "triple Triple",
+    ),
+    "Dag": (lambda kind: kind(universe_of_size(2), {(0, 1), (1, 0)}), "arcs contain a directed"),
+    "UndirectedGraph": (lambda kind: kind(universe_of_size(2), {(1, 1)}), "self-loop at node 1"),
+    "Clause": (lambda kind: kind((), ()), "a clause needs at least one literal"),
+    "Valuation": (lambda kind: kind(universe_of_size(1), {"X": 2}), "mask 0x2 has bits outside"),
+}
+
+
+def _positional(value, arity):
+    """What a class pattern with ``arity`` positional sub-patterns binds in ``value``."""
+    kind = type(value)
+    match arity, value:
+        case 0, kind():
+            return ()
+        case 1, kind(p):
+            return (p,)
+        case 2, kind(p, q):
+            return (p, q)
+        case 3, kind(p, q, r):
+            return (p, q, r)
+        case 4, kind(p, q, r, s):
+            return (p, q, r, s)
+
+
 def _hash_or_error(value):
     try:
         return hash(value)
@@ -448,7 +480,8 @@ def _hash_or_error(value):
 @pytest.mark.parametrize("name", list(_records()))
 def test_record_contract(name):
     # What a frozen dataclass gave each type: == and hash over the field tuple,
-    # Name(field=value, ...), refused writes, and pickle and deepcopy round trips.
+    # Name(field=value, ...), positional match patterns, refused writes, pickle
+    # and deepcopy round trips, and subclasses that keep all of it.
     build, fields, shown = _records()[name]
     value, twin = build(), build()
     values = tuple(getattr(value, f) for f in fields)
@@ -457,6 +490,7 @@ def test_record_contract(name):
     assert value != values and value.__eq__(values) is NotImplemented
     assert _hash_or_error(value) == _hash_or_error(twin) == _hash_or_error(values)
     assert repr(value) == shown
+    assert type(value).__match_args__ == fields and _positional(value, len(fields)) == values
     assert issubclass(FrozenInstanceError, AttributeError)
     field = fields[0] if fields else "name"
     with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
@@ -467,3 +501,19 @@ def test_record_contract(name):
     for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(copied) is type(value) and copied == value and repr(copied) == shown
         assert _hash_or_error(copied) == _hash_or_error(value)
+    # A subclass's own annotation makes no field, as with an undecorated subclass
+    # of a dataclass: it inherits the fields, the constructor and its checks.
+    sub = type("Sub", (type(value),), {"__annotations__": {"tag": str}})
+    child = build(sub)
+    assert type(child) is sub and sub.__match_args__ == fields
+    assert _positional(child, len(fields)) == values
+    assert child == build(sub) and child != value and not child == value
+    assert _hash_or_error(child) == _hash_or_error(value)
+    assert repr(child) == "Sub" + shown[len(name) :]
+    copied = copy.deepcopy(child)
+    assert type(copied) is sub and copied == child
+    if name in REFUSED:
+        refused, message = REFUSED[name]
+        for kind in (type(value), sub):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                refused(kind)

@@ -43,7 +43,6 @@ from cimodels.logic import (
     model_satisfies,
     parse_clause,
     parse_formula,
-    term_variables,
 )
 from cimodels.logic import _check_depth, _fmt, _value
 from cimodels.ugraph import MAX_GRAPH_ENUM_NODES, UndirectedGraph, enumerate_undirected_graphs
@@ -238,7 +237,6 @@ def depth_gated_calls(formula, term):
         "is_valid_valuation term third": lambda: is_valid_valuation(
             valuation, Atom(Var("X2"), Var("X3"), term), m
         ),
-        "term_variables": lambda: term_variables(term),
     }
 
 
@@ -393,7 +391,7 @@ class TestPrinter:
         # The evaluators take any name.
         m = IndependencyModel(Universe(("a", "b")), frozenset({Triple(0b01, 0, 0b10)}))
         assert model_satisfies(m, atom) is False
-        assert term_variables(Var(name)) == {name}
+        assert _check_depth(Var(name)) == {name}
 
     def test_name_that_is_no_string_rejected(self):
         with pytest.raises(ValueError, match="^variable name 3 does not print as an identifier$"):

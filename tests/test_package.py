@@ -22,7 +22,7 @@ HOMES = {
         Valuation FormulaSyntaxError parse_formula parse_clause format_formula format_term
         is_valid_valuation model_satisfies check_clause is_horn entails
         clause_of_formula formula_of_clause""",
-    represent: """RepresentabilityResult AxiomViolation SEMIGRAPHOID_AXIOM_FORMULAS
+    represent: """RepresentabilityResult AxiomViolation
         dependent_always is_graph_isomorph is_causal scan_causal_witness check_semigraphoid""",
     repro: "ReproReport build_counterexample_dag verify_counterexample",
 }

@@ -19,7 +19,6 @@ from cimodels.core import (
 from cimodels.dag import MAX_DAG_ENUM_NODES, Dag, acyclic_arc_masks, enumerate_dags
 from cimodels.logic import model_satisfies, parse_formula
 from cimodels.represent import (
-    SEMIGRAPHOID_AXIOM_FORMULAS,
     _skeleton,
     check_semigraphoid,
     dependent_always,
@@ -31,6 +30,7 @@ from cimodels.repro import build_counterexample_dag
 from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs
 
 from oracles import (
+    SEMIGRAPHOID_AXIOM_FORMULAS,
     acyclic_arc_masks_bruteforce,
     check_semigraphoid_reference,
     dag_count,

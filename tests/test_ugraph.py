@@ -56,7 +56,7 @@ class TestGraphInvariants:
     def test_edges_normalized(self):
         g = UndirectedGraph(universe_of_size(3), frozenset({(2, 0), (0, 2)}))
         assert g.edges == frozenset({(0, 2)})
-        assert g.has_edge(0, 2) and g.has_edge(2, 0)
+        assert g.neighbor_masks == (0b100, 0, 0b001)
 
 
 class TestReachableMask:
@@ -136,7 +136,7 @@ class TestSeparates:
                     if c == 0:
                         break
                     c = (c - 1) & others
-                assert g.has_edge(alpha, beta) == never_separated
+                assert bool(g.neighbor_masks[alpha] >> beta & 1) == never_separated
 
 
 class TestSeparationModel:
