@@ -153,7 +153,6 @@ class Universe(Record):
 
     def subuniverse(self, mask: int) -> "Universe":
         """The universe of the labels selected by ``mask``, order preserved."""
-        self.check_mask(mask)
         if mask == 0:
             raise ValueError("a universe needs at least one label")
         return Universe(self.labels_of(mask))
@@ -390,7 +389,6 @@ class IndependencyModel(Record):
         preserved and bit indices are recompacted, so cross-universe
         comparisons go by label.
         """
-        self.universe.check_mask(v_mask)
         if v_mask == 0:
             raise ValueError("cannot restrict to the empty set of variables")
         sub = self.universe.subuniverse(v_mask)

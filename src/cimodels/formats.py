@@ -28,7 +28,7 @@ from operator import and_
 from pathlib import Path
 from typing import Iterator, NoReturn
 
-from .core import IndependencyModel, Triple, Universe, check_disjoint, pack_key, pack_keys, unpack_keys
+from .core import IndependencyModel, Triple, Universe, pack_keys, unpack_keys
 from .dag import Dag
 from .ugraph import UndirectedGraph
 
@@ -51,14 +51,6 @@ class FormatError(ValueError):
         super().__init__(prefix + message)
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped
-
-
 def _check_label(label: str) -> None:
     bad = (
         label == "-"
@@ -77,13 +69,16 @@ def _vars_line(universe: Universe) -> str:
     return "vars: " + " ".join(universe.names)
 
 
-def _parse_header(lines: Iterator[tuple[int, str]], *, source: str | None) -> Universe:
+def _header_and_lines(text: str, *, source: str | None) -> tuple[Universe, Iterator[tuple[int, str]]]:
+    """The universe of ``text``'s ``vars:`` header and its remaining content
+    lines, each stripped and numbered from 1 as in the file."""
+    lines = ((i, s) for i, s in enumerate(map(str.strip, text.splitlines()), 1) if s and s[0] != "#")
     try:
         lineno, content = next(lines)
     except StopIteration:
         raise FormatError("missing 'vars:' header", source=source) from None
     try:
-        return _header_universe(content)
+        return _header_universe(content), lines
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=lineno) from None
 
@@ -116,22 +111,14 @@ def format_set(universe: Universe, mask: int) -> str:
 
 
 def parse_triple(universe: Universe, text: str) -> Triple:
-    """A triple written ``<set> | <set> | <set>``."""
+    """A triple written ``<set> | <set> | <set>``; errors carry no location."""
+    parts = text.split("|")
     try:
-        return Triple(*_parse_sets(universe, text))
+        if len(parts) != 3:
+            raise ValueError(f"expected '<set> | <set> | <set>', found {text!r}")
+        return Triple(*(parse_set(universe, part) for part in parts))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-
-
-def _parse_sets(universe: Universe, text: str) -> tuple[int, int, int]:
-    """The three disjoint masks of a triple's text. Raises ``ValueError``
-    without a location: the caller adds it."""
-    parts = text.split("|")
-    if len(parts) != 3:
-        raise ValueError(f"expected '<set> | <set> | <set>', found {text!r}")
-    a, c, b = (parse_set(universe, part) for part in parts)
-    check_disjoint(a, c, b)
-    return a, c, b
 
 
 def format_triple(universe: Universe, triple: Triple) -> str:
@@ -213,20 +200,16 @@ def _raise_first_fault(text: str, *, source: str | None) -> NoReturn:
     ``parse_model`` calls this only for a text its column pass rejected, so
     some line is bad.
     """
-    lines = _content_lines(text)
-    universe = _parse_header(lines, source=source)
-    n = universe.n
-    keys: set[int] = set()
+    universe, lines = _header_and_lines(text, source=source)
+    seen: set[Triple] = set()
     try:  # around the loop, not in it: one location for every line's error
         for lineno, content in lines:
             if not content.startswith("I ") and content != "I":
                 raise ValueError(f"expected 'I <set> | <set> | <set>', found {content!r}")
-            a, c, b = _parse_sets(universe, content[1:])
-            key = pack_key(n, a, c, b)
-            if key in keys:
-                triple = format_triple(universe, Triple(a, c, b))
-                raise ValueError(f"duplicate triple 'I {triple}'")
-            keys.add(key)
+            triple = parse_triple(universe, content[1:])
+            if triple in seen:
+                raise ValueError(f"duplicate triple 'I {format_triple(universe, triple)}'")
+            seen.add(triple)
     except ValueError as exc:
         raise FormatError(str(exc), source=source, line=lineno) from None
     raise AssertionError("the column pass rejected a model text with no bad line")
@@ -254,8 +237,7 @@ def _parse_pair_lines(
     The first repeated pair is an error at its line, raised once every line
     has parsed, so a malformed line anywhere in the file is reported first.
     """
-    lines = _content_lines(text)
-    universe = _parse_header(lines, source=source)
+    universe, lines = _header_and_lines(text, source=source)
     pairs: set[tuple[int, int]] = set()
     duplicate = None
     try:  # around the loop, not in it: one location for every line's error

@@ -318,18 +318,8 @@ _P_IMPLIES, _P_OR, _P_AND, _P_NOT, _P_LEAF = 1, 2, 3, 4, 5
 _T_UNION, _T_INTER, _T_COMPL, _T_LEAF = 1, 2, 3, 4
 
 
-def format_term(term: Term) -> str:
-    """Render a term.
-
-    Raises ``ValueError`` when the text would nest deeper than
-    ``MAX_FORMULA_DEPTH`` or name a variable that is no identifier (see ``_check_depth``).
-    """
-    _check_depth(term, printed=True)
-    return _fmt(term, 0)
-
-
-def format_formula(formula: Formula) -> str:
-    """Render a formula; parsing the result reproduces the identical tree.
+def format_formula(formula: Formula | Term) -> str:
+    """Render a formula or a term; parsing the result reproduces the identical tree.
 
     Raises ``ValueError`` when the text would nest deeper than
     ``MAX_FORMULA_DEPTH``, the parser's gate, counting the parentheses the
@@ -337,6 +327,9 @@ def format_formula(formula: Formula) -> str:
     """
     _check_depth(formula, printed=True)
     return _fmt(formula, 0)
+
+
+format_term = format_formula
 
 
 def _layout(node: Formula | Term) -> tuple[int, str, tuple[tuple[Formula | Term, int], ...]]:

@@ -85,16 +85,16 @@ class UndirectedGraph(Record):
         the sub-universe of ``v_mask`` with recompacted indices, so its
         separation model is directly comparable with a restricted model.
         """
-        self.universe.check_mask(v_mask)
         if v_mask == 0:
             raise ValueError("cannot marginalize onto the empty set of variables")
+        sub = self.universe.subuniverse(v_mask)  # checks the mask before bits_of reads it
         nbrs, kept = self.neighbor_masks, list(bits_of(v_mask))
         edges = frozenset(
             (i, j)
             for (i, u), (j, v) in combinations(enumerate(kept), 2)
             if reachable_mask(nbrs, 1 << u, v_mask & ~(1 << u | 1 << v)) & 1 << v
         )
-        return UndirectedGraph(self.universe.subuniverse(v_mask), edges)
+        return UndirectedGraph(sub, edges)
 
 
 def enumerate_undirected_graphs(universe: Universe) -> Iterator[UndirectedGraph]:

@@ -347,6 +347,30 @@ class TestRestrict:
         assert r.triples == frozenset({Triple(0b001, 0b100, 0b010)})
 
 
+_RESTRICTIONS = {
+    "subuniverse": (lambda u: u.subuniverse, "a universe needs at least one label"),
+    "restrict": (
+        lambda u: IndependencyModel(u, []).restrict,
+        "cannot restrict to the empty set of variables",
+    ),
+    "marginal_graph": (
+        lambda u: UndirectedGraph(u, [(0, 1), (1, 2)]).marginal_graph,
+        "cannot marginalize onto the empty set of variables",
+    ),
+}
+
+
+@pytest.mark.parametrize("mask", [0, -1, 1 << 3, 1 << 3 | 1])
+@pytest.mark.parametrize("kind", list(_RESTRICTIONS))
+def test_restriction_messages(kind, mask):
+    """Each restriction names an empty mask in its own words, and a mask past
+    the 3-label universe, negative ones included, as ``check_mask`` does."""
+    restriction, empty = _RESTRICTIONS[kind]
+    expected = empty if mask == 0 else f"mask {mask:#x} has bits outside the 3-label universe"
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        restriction(Universe(("a", "b", "c")))(mask)
+
+
 def _records():
     """One value of each of the library's 19 record types: its builder, its
     field names in order, and its exact ``repr``. A builder given a subclass
