@@ -113,12 +113,16 @@ def _emit(text: str, args: argparse.Namespace) -> None:
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
         return
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        raise OSError("stdout is closed")
     try:
         sys.stdout.write(text)  # encodes the whole text before writing any of it
     except UnicodeEncodeError as exc:
         bad = exc.object[exc.start:exc.end]
         hint = "; --out writes UTF-8" if hasattr(args, "out") else ""
         raise ValueError(f"stdout ({exc.encoding}) cannot encode {bad!r}{hint}") from None
+    except OSError as exc:
+        raise OSError(f"stdout: {exc}") from None
 
 
 def _decide(label_true: str, label_false: str, outcome: bool) -> tuple[str, int]:
@@ -238,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, ValuationBudgetError, OSError) as exc:
         # FormatError and FormulaSyntaxError are ValueErrors.
-        sys.stderr.write(f"error: {exc}\n")
+        try:
+            sys.stderr.write(f"error: {exc}\n")
+        except (AttributeError, OSError):  # stderr closed (None) or failing
+            pass
         return 2
 
 

@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 import cimodels
 from cimodels.cli import _build_parser, entry, main
 from cimodels.formats import parse_model
+
+from oracles import dag_count
 
 DAG_TEXT = """\
 vars: 0 1 2 3 4
@@ -106,14 +109,31 @@ class TestModelDumps:
         assert "error" in capsys.readouterr().err
 
 
+# One triple and not its swap: seven violations, in the order of the walk.
+ASYMMETRIC_CHECK = """\
+violation: symmetry: [a | - | b,c] without [b,c | - | a]
+violation: decomposition: [a | - | b,c] without [a | - | c]
+violation: weak_union: [a | - | b,c] without [a | b | c]
+violation: decomposition: [a | - | b,c] without [a | - | b]
+violation: weak_union: [a | - | b,c] without [a | c | b]
+violation: decomposition: [a | - | b,c] without [a | - | -]
+violation: weak_union: [a | - | b,c] without [a | b,c | -]
+NOT SEMIGRAPHOID
+"""
+
+
 class TestModelCheck:
     def test_semigraphoid_negative(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
+        argv = ["model", "check", "--model", str(path), "--class", "semigraphoid"]
         path.write_text("vars: a b\nI a | - | b\n")
-        assert main(["model", "check", "--model", str(path), "--class", "semigraphoid"]) == 1
+        assert main(argv) == 1
         out = capsys.readouterr().out
         assert "violation: symmetry" in out
         assert out.strip().endswith("NOT SEMIGRAPHOID")
+        path.write_text("vars: a b c\nI a | - | b,c\n")
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ASYMMETRIC_CHECK
 
     def test_causal_and_graph_isomorph(self, tmp_path, capsys):
         from cimodels.core import Universe
@@ -240,10 +260,11 @@ class TestEnum:
     def test_gate(self, capsys):
         assert main(["enum", "dags", "--n", "6", "--count"]) == 2
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_count_matches_listing(self, capsys, n):
         assert main(["enum", "dags", "--n", str(n), "--count"]) == 0
         count = int(capsys.readouterr().out)
+        assert count == dag_count(n)
         assert main(["enum", "dags", "--n", str(n)]) == 0
         assert count == len(capsys.readouterr().out.splitlines())
 
@@ -314,6 +335,13 @@ FILE_READERS = [
     ["graph", "model", "--graph"],
     ["dag", "model", "--dag"],
 ]
+
+
+class FullStream(io.StringIO):
+    """A stream on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestDiagnostics:
@@ -421,6 +449,28 @@ class TestDiagnostics:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        ("stdout", "err"),
+        [
+            # sys.stdout is None when fd 1 was closed as the interpreter started.
+            (None, "error: stdout is closed\n"),
+            (FullStream(), f"error: stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"),
+        ],
+        ids=["closed", "full"],
+    )
+    def test_stdout_fault_named(self, monkeypatch, stdout, err):
+        stderr = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["enum", "dags", "--n", "3", "--count"]) == 2
+        assert stderr.getvalue() == err
+
+    def test_failing_stderr_keeps_the_exit_code(self, monkeypatch):
+        # A closed stderr is run in TestEntryPoints, in a child process.
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", FullStream())
+        assert main(["enum", "dags", "--n", "3", "--count"]) == 2
+
 
 class TestEntryPoints:
     def test_entry_exits_with_the_code(self, monkeypatch, capsys):
@@ -437,6 +487,19 @@ class TestEntryPoints:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == "error: refusing to enumerate DAGs on 6 > 5 nodes\n"
+
+    @pytest.mark.parametrize(
+        ("redirect", "err"),
+        [(">&-", "error: stdout is closed\n"), (">&- 2>&-", "")],
+        ids=["stdout", "stdout-and-stderr"],
+    )
+    def test_module_run_with_closed_stdout(self, redirect, err):
+        src = str(Path(cimodels.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        command = [sys.executable, "-m", "cimodels.cli", "enum", "dags", "--n", "3", "--count"]
+        argv = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
 
     def test_files_are_utf8_in_the_c_locale(self, tmp_path):
         # An ASCII locale with UTF-8 mode off: a default encoding would be
@@ -484,7 +547,8 @@ class TestEntryPoints:
             "import sys; sys.path.insert(0, sys.argv[1]); from cimodels.cli import main; "
             "raise SystemExit(main(sys.argv[2:]))"
         )
-        argv = [sys.executable, "-I", "-S", "-X", "utf8=0", "-c", code, src, *argv, str(path)]
+        flags = ["-X", "utf8=0", "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        argv = [sys.executable, "-I", "-S", *flags, "-c", code, src, *argv, str(path)]
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0"}
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout) == (2, "")

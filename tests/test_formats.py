@@ -111,6 +111,14 @@ class TestModelFormat:
     def test_comments_and_blanks_ignored(self):
         text = "# leading comment\n\nvars: a b\n# mid comment\nI a | - | b\n\n"
         assert len(parse_model(text)) == 1
+        # CRLF line ends, comments, blank lines, indents, trailing blanks and
+        # bars without spaces.
+        plain = "vars: a b c\nI a | - | b\nI b | - | a\nI a | c | b\nI b | c | a\nI a,b | - | c\n"
+        laid_out = (
+            "# layout\r\n\r\nvars: a b c\r\n  I a|-|b\r\n# note\r\n\r\nI b | - | a  \r\n"
+            "\tI a|c|b\r\nI b |c| a\r\nI a,b|-|c\r\n"
+        )
+        assert parse_model(laid_out) == parse_model(plain)
 
     def test_order_insensitive(self):
         swapped = "vars: 1 2 3 4\nI 2 | 1 | 4\nI 1 | - | 3\n"
@@ -335,6 +343,13 @@ def test_first_bad_line_wins_whatever_its_fault(text, message):
         ("vars: a b I\nI a | b\nI\nI b | - | a\n", 2, "' a | b'"),
         # One bar moved to a later line.
         ("vars: a b\nI a | - b\nI b | - | | a\n", 2, "' a | - b'"),
+        # Line 5 holds one bar and line 6 three, after a comment and a
+        # blank line, with CRLF line ends.
+        (
+            "vars: a b c\r\n# note\r\n\r\nI a | - | b\r\nI a | b\r\nI - | a | b | c\r\n",
+            5,
+            "' a | b'",
+        ),
     ],
 )
 def test_bars_on_the_wrong_lines(text, line, found):
