@@ -37,6 +37,20 @@ I a | - | b
 I b | - | a
 """
 
+COMMANDS = ["graph", "dag", "model", "formula", "enum", "repro"]
+SUBCOMMANDS = [
+    "graph sep",
+    "graph model",
+    "dag dsep",
+    "dag model",
+    "model restrict",
+    "model check",
+    "formula eval",
+    "formula entails",
+    "enum dags",
+    "repro counterexample",
+]
+
 
 @pytest.fixture
 def dag_file(tmp_path):
@@ -250,6 +264,10 @@ class TestEnum:
         assert main(["enum", "dags", "--n", "4", "--count"]) == 0
         assert capsys.readouterr().out.strip() == "543"
 
+    def test_abbreviated_option(self, capsys):
+        assert main(["enum", "dags", "--n", "4", "--cou"]) == 0
+        assert capsys.readouterr().out == "543\n"
+
     def test_listing(self, capsys):
         assert main(["enum", "dags", "--n", "2", "--count"]) == 0
         assert main(["enum", "dags", "--n", "2"]) == 0
@@ -284,11 +302,24 @@ class TestParserReuse:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--help"],
-            ["model", "check", "--help"],
-            [],
-            ["enum", "dags"],
+            *([*command.split(), "--help"] for command in ["", *COMMANDS, *SUBCOMMANDS]),
+            # a command without its subcommand, a subcommand without its
+            # required options (``repro counterexample`` has none)
+            *(
+                command.split()
+                for command in [*COMMANDS, *SUBCOMMANDS]
+                if command != "repro counterexample"
+            ),
             ["model", "check", "--model", "x", "--class", "bogus"],
+            ["formula", "entails", "--family", "bogus", "--given", "x", "--query", "y"],
+            ["enum", "dogs"],
+            ["enum", "dags", "--n", "x"],
+            ["enum", "dags", "--cou"],
+            ["enum", "dags", "--n", "4", "--cou", "extra"],
+            ["enum", "dags", "--n", "4", "--count", "--bogus"],
+            ["-h", "enum"],
+            ["bogus"],
+            [],
         ],
     )
     def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
