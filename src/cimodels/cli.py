@@ -10,6 +10,9 @@ all, exiting 2 with an error that names stdout when it cannot take the text.
 Each handler imports the library modules it runs, so a command loads only
 those: ``enum`` and the ``graph``/``dag`` queries load neither the logic nor
 the recognizers, ``model check`` no logic, ``formula`` no recognizer.
+Likewise ``main`` builds the parser of the command it is given and no other;
+help before a command, an unknown command and every usage error get the
+parser of all commands, so argparse words them as it always has.
 """
 
 from __future__ import annotations
@@ -19,23 +22,40 @@ import errno
 import sys
 from functools import cache
 from pathlib import Path
+from typing import NoReturn
 
 from . import formats
 from .core import Universe, ValuationBudgetError
 from .dag import acyclic_arc_masks, enumerate_dags
 
 
+class _UsageError(Exception):
+    """A usage error met by a one-command parser; ``main`` parses again with
+    every command, so the message is worded as the whole tree words it."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise _UsageError
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing reads it and
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for one command, or for all of them when
+    ``command`` is None; each built once per process: parsing reads it and
     leaves it as it was, and each call gets a fresh namespace."""
-    parser = argparse.ArgumentParser(
+    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
         prog="cimodels",
         description="Separation and d-separation models, representability, and formula checks.",
     )
     top = parser.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(top.add_parser(name, help=help_text))
+    return parser
 
-    graph = top.add_parser("graph", help="undirected graph queries")
+
+def _add_graph(graph: argparse.ArgumentParser) -> None:
     graph_sub = graph.add_subparsers(dest="subcommand", required=True)
     graph_sep = graph_sub.add_parser("sep", help="decide a separation query")
     graph_sep.add_argument("--graph", required=True, help="graph file")
@@ -44,7 +64,8 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_model.add_argument("--graph", required=True, help="graph file")
     graph_model.add_argument("--out", help="write to this file instead of stdout")
 
-    dag = top.add_parser("dag", help="DAG queries")
+
+def _add_dag(dag: argparse.ArgumentParser) -> None:
     dag_sub = dag.add_subparsers(dest="subcommand", required=True)
     dag_dsep = dag_sub.add_parser("dsep", help="decide a d-separation query")
     dag_dsep.add_argument("--dag", required=True, help="DAG file")
@@ -53,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     dag_model.add_argument("--dag", required=True, help="DAG file")
     dag_model.add_argument("--out", help="write to this file instead of stdout")
 
-    model = top.add_parser("model", help="operations on model files")
+
+def _add_model(model: argparse.ArgumentParser) -> None:
     model_sub = model.add_subparsers(dest="subcommand", required=True)
     restrict = model_sub.add_parser("restrict", help="keep triples inside a variable set")
     restrict.add_argument("--model", required=True, help="model file")
@@ -68,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["causal", "graph-isomorph", "semigraphoid"],
     )
 
-    formula = top.add_parser("formula", help="formula evaluation and entailment")
+
+def _add_formula(formula: argparse.ArgumentParser) -> None:
     formula_sub = formula.add_subparsers(dest="subcommand", required=True)
     feval = formula_sub.add_parser("eval", help="does the model satisfy the formula?")
     feval.add_argument("--model", required=True, help="model file")
@@ -86,20 +109,20 @@ def _build_parser() -> argparse.ArgumentParser:
     fentails.add_argument("--given", required=True, help="model file with the given triples")
     fentails.add_argument("--query", required=True, help="triple as '<set> | <set> | <set>'")
 
-    enum = top.add_parser("enum", help="exhaustive structure enumeration")
+
+def _add_enum(enum: argparse.ArgumentParser) -> None:
     enum_sub = enum.add_subparsers(dest="subcommand", required=True)
     enum_dags = enum_sub.add_parser("dags", help="enumerate labeled DAGs")
     enum_dags.add_argument("--n", type=int, required=True, help="number of nodes")
     enum_dags.add_argument("--count", action="store_true", help="print only the count")
 
-    repro = top.add_parser("repro", help="rerun bundled derivations")
+
+def _add_repro(repro: argparse.ArgumentParser) -> None:
     repro_sub = repro.add_subparsers(dest="subcommand", required=True)
     counterexample = repro_sub.add_parser(
         "counterexample", help="verify the non-representable restricted model"
     )
     counterexample.add_argument("--json", action="store_true", help="machine-readable report")
-
-    return parser
 
 
 def _add_set_args(sub: argparse.ArgumentParser) -> None:
@@ -223,21 +246,31 @@ def _run_repro(args: argparse.Namespace) -> tuple[str, int]:
     return "".join(f"{line}\n" for line in lines), 0 if report.succeeded else 1
 
 
+# Each command: its help line, the adder of its arguments, and its handler.
+_COMMANDS = {
+    "graph": ("undirected graph queries", _add_graph, _run_graph),
+    "dag": ("DAG queries", _add_dag, _run_dag),
+    "model": ("operations on model files", _add_model, _run_model),
+    "formula": ("formula evaluation and entailment", _add_formula, _run_formula),
+    "enum": ("exhaustive structure enumeration", _add_enum, _run_enum),
+    "repro": ("rerun bundled derivations", _add_repro, _run_repro),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "graph": _run_graph,
-        "dag": _run_dag,
-        "model": _run_model,
-        "formula": _run_formula,
-        "enum": _run_enum,
-        "repro": _run_repro,
-    }
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        # Only a known first word names the one command to build; help before
+        # it, an unknown command or no command at all need the whole tree.
+        parser = _build_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
+        args = parser.parse_args(argv)
+    except _UsageError:
+        args = _build_parser().parse_args(argv)  # parsing has no side effects
     try:
         if [] in vars(args).values():  # argparse before 3.13 reads '--query=--' as []
             raise ValueError("an option's value cannot be '--'")
-        text, code = handlers[args.command](args)
+        text, code = _COMMANDS[args.command][2](args)
         _emit(text, args)
         return code
     except (ValueError, ValuationBudgetError, OSError) as exc:

@@ -356,9 +356,13 @@ class IndependencyModel(Record):
 
     def __init__(self, universe: Universe, triples: Iterable[Triple]) -> None:
         triples, n = frozenset(triples), universe.n
-        for t in triples:
-            if t.span >> n:
-                raise ValueError(f"triple {t} uses bits outside the universe")
+        try:  # around the loop, not in it: only a non-Triple lacks ``span``
+            for t in triples:
+                if t.span >> n:
+                    raise ValueError(f"triple {t} uses bits outside the universe")
+        except AttributeError:
+            bad = next(t for t in triples if not isinstance(t, Triple))
+            raise TypeError(f"triples must be Triple, not {type(bad).__name__}") from None
         keys = frozenset(pack_key(n, t.a, t.c, t.b) for t in triples)
         vars(self).update(universe=universe, keys=keys, triples=triples)
 

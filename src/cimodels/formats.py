@@ -69,6 +69,12 @@ def _vars_line(universe: Universe) -> str:
     return "vars: " + " ".join(universe.names)
 
 
+def _check_text(text: str) -> None:
+    """Refuse text that is not a ``str``, naming its type, once per parse."""
+    if not isinstance(text, str):
+        raise TypeError(f"text must be str, not {type(text).__name__}")
+
+
 def _header_and_lines(text: str, *, source: str | None) -> tuple[Universe, Iterator[tuple[int, str]]]:
     """The universe of ``text``'s ``vars:`` header and its remaining content
     lines, each stripped and numbered from 1 as in the file."""
@@ -138,6 +144,7 @@ def parse_model(text: str, *, source: str | None = None) -> IndependencyModel:
     reads it again line by line only to name the first bad line, the header
     included; it never returns.
     """
+    _check_text(text)
     read = _column_keys(text)
     if read is None:
         _raise_first_fault(text, source=source)
@@ -237,6 +244,7 @@ def _parse_pair_lines(
     The first repeated pair is an error at its line, raised once every line
     has parsed, so a malformed line anywhere in the file is reported first.
     """
+    _check_text(text)
     universe, lines = _header_and_lines(text, source=source)
     pairs: set[tuple[int, int]] = set()
     duplicate = None

@@ -287,12 +287,58 @@ class TestEnum:
         assert count == len(capsys.readouterr().out.splitlines())
 
 
+# Counts the ``ArgumentParser``s built by each of two ``main`` calls in a fresh
+# interpreter: the running total after each call.
+PARSER_COUNT_CODE = """
+import argparse, contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from cimodels.cli import main
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+totals = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for _ in range(2):
+        try:
+            main(sys.argv[2:])
+        except SystemExit:
+            pass
+        totals.append(len(built))
+print(*totals)
+"""
+
+
 class TestParserReuse:
-    """``main`` builds its parser once per process; each call still starts
-    from the parser's defaults."""
+    """``main`` builds each parser once per process, and only the one
+    command's subtree when the first word names a command; each call still
+    starts from the parser's defaults."""
 
     def test_built_once(self):
         assert _build_parser() is _build_parser()
+
+    @pytest.mark.parametrize(
+        ("argv", "built"),
+        [
+            (["enum", "dags", "--n", "4", "--count"], 3),  # top, enum, enum dags
+            (["repro", "counterexample", "--help"], 3),
+            (["model", "check", "--help"], 4),  # top, model, restrict, check
+            (["enum", "dags"], 3 + 17),  # a usage error: the whole tree words it
+            (["-h", "enum"], 17),
+            ([], 17),
+        ],
+    )
+    def test_parsers_built(self, argv, built):
+        src = str(Path(cimodels.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", PARSER_COUNT_CODE, src, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.stdout.split() == [str(built)] * 2  # the second call builds none
 
     def test_successive_calls_share_no_state(self, capsys):
         assert main(["enum", "dags", "--n", "3", "--count"]) == 0

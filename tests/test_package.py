@@ -96,3 +96,23 @@ def test_star_import_in_a_fresh_interpreter():
         "print(all(name in globals() for name in cimodels.__all__))\n"
     )
     assert out == "True\n"
+
+
+@pytest.mark.parametrize(
+    ("call", "args", "message"),
+    [
+        (cimodels.parse_model, (None,), "text must be str, not NoneType"),
+        (cimodels.parse_model, (b"vars: a b",), "text must be str, not bytes"),
+        (cimodels.parse_graph, (None,), "text must be str, not NoneType"),
+        (cimodels.parse_dag, (5,), "text must be str, not int"),
+        (
+            cimodels.IndependencyModel,
+            (cimodels.Universe(("a", "b", "c")), [(1, 0, 2)]),
+            "triples must be Triple, not tuple",
+        ),
+    ],
+)
+def test_wrong_type_arguments_raise_type_error(call, args, message):
+    # A TypeError that names the type, not an AttributeError from deep inside.
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call(*args)
