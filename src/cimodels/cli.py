@@ -270,7 +270,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if [] in vars(args).values():  # argparse before 3.13 reads '--query=--' as []
             raise ValueError("an option's value cannot be '--'")
-        text, code = _COMMANDS[args.command][2](args)
+        _, _, run = _COMMANDS[args.command]
+        text, code = run(args)
         _emit(text, args)
         return code
     except (ValueError, ValuationBudgetError, OSError) as exc:
