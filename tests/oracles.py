@@ -628,6 +628,14 @@ def random_model(
     return IndependencyModel(universe, frozenset(triples))
 
 
+def random_dag(rng: random.Random, n: int, p: float = 0.4) -> Dag:
+    """Each pair of a shuffled node order gets its forward arc with chance ``p``."""
+    order = list(range(n))
+    rng.shuffle(order)
+    arcs = {(order[i], order[j]) for i, j in combinations(range(n), 2) if rng.random() < p}
+    return Dag(universe_of_size(n), frozenset(arcs))
+
+
 def random_term(
     rng: random.Random, names: list[str], depth: int, complement_free: bool = False
 ) -> Term:

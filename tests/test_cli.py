@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit codes, and diagnostics."""
 
+import argparse
+import contextlib
 import errno
 import hashlib
 import io
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cimodels
-from cimodels.cli import _build_parser, entry, main
+from cimodels.cli import _COMMANDS, _build_parser, entry, main
 from cimodels.formats import parse_model
 
 from oracles import dag_count
@@ -287,6 +289,88 @@ class TestEnum:
         assert count == len(capsys.readouterr().out.splitlines())
 
 
+def reference_parser():
+    """Every command's parser under a top parser whose usage lines argparse
+    writes itself: no hand-written ``usage`` and no ``prog`` for the commands."""
+    parser = argparse.ArgumentParser(
+        prog="cimodels",
+        description="Separation and d-separation models, representability, and formula checks.",
+    )
+    top = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        add_arguments(top.add_parser(name, help=help_text))
+    return parser
+
+
+def parse_outcome(parse, argv):
+    """The exit code, stdout and stderr of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+    raise AssertionError(f"{argv} did not end the program")
+
+
+# Each subcommand's required options, so that one more word is left over.
+REQUIRED_OPTIONS = {
+    "graph sep": "--graph x --A a --C c --B b",
+    "graph model": "--graph x",
+    "dag dsep": "--dag x --A a --C c --B b",
+    "dag model": "--dag x",
+    "model restrict": "--model x --vars v",
+    "model check": "--model x --class causal",
+    "formula eval": "--model x --formula f",
+    "formula entails": "--family causal --given x --query q",
+    "enum dags": "--n 4",
+    "repro counterexample": "",
+}
+
+HELP_AND_USAGE_ARGVS = [
+    *([*command.split(), "--help"] for command in ["", *COMMANDS, *SUBCOMMANDS]),
+    # a command without its subcommand, a subcommand without its required
+    # options (``repro counterexample`` has none)
+    *(
+        command.split()
+        for command in [*COMMANDS, *SUBCOMMANDS]
+        if command != "repro counterexample"
+    ),
+    ["model", "check", "--model", "x", "--class", "bogus"],
+    ["formula", "entails", "--family", "bogus", "--given", "x", "--query", "y"],
+    ["enum", "dogs"],
+    ["enum", "dags", "--n", "x"],
+    ["enum", "dags", "--cou"],
+    ["enum", "dags", "--n", "4", "--cou", "extra"],
+    ["enum", "dags", "--n", "4", "--count", "--bogus"],
+    ["-h", "enum"],
+    ["bogus"],
+    [],
+    # the top parser's "unrecognized arguments" error
+    *(
+        [*command.split(), *options.split(), "extra"]
+        for command, options in REQUIRED_OPTIONS.items()
+    ),
+]
+
+# Locale variables that gettext reads before LANG.
+LOCALE_OVERRIDES = ("LANGUAGE", "LC_ALL", "LC_MESSAGES")
+
+# Prints the help and usage cases whose outcome under the child's locale
+# differs from the reference parser's.
+LOCALE_TWIN_CODE = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+from cimodels.cli import main
+from test_cli import HELP_AND_USAGE_ARGVS, parse_outcome, reference_parser
+differ = [
+    argv
+    for argv in HELP_AND_USAGE_ARGVS
+    if parse_outcome(main, argv) != parse_outcome(reference_parser().parse_args, argv)
+]
+print(json.dumps(differ))
+"""
+
 # Counts the ``ArgumentParser``s built by each of two ``main`` calls in a fresh
 # interpreter: the running total after each call.
 PARSER_COUNT_CODE = """
@@ -345,38 +429,31 @@ class TestParserReuse:
         assert main(["enum", "dags", "--n", "2"]) == 0
         assert capsys.readouterr().out.splitlines() == ["25", "-", "0->1", "1->0"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            *([*command.split(), "--help"] for command in ["", *COMMANDS, *SUBCOMMANDS]),
-            # a command without its subcommand, a subcommand without its
-            # required options (``repro counterexample`` has none)
-            *(
-                command.split()
-                for command in [*COMMANDS, *SUBCOMMANDS]
-                if command != "repro counterexample"
-            ),
-            ["model", "check", "--model", "x", "--class", "bogus"],
-            ["formula", "entails", "--family", "bogus", "--given", "x", "--query", "y"],
-            ["enum", "dogs"],
-            ["enum", "dags", "--n", "x"],
-            ["enum", "dags", "--cou"],
-            ["enum", "dags", "--n", "4", "--cou", "extra"],
-            ["enum", "dags", "--n", "4", "--count", "--bogus"],
-            ["-h", "enum"],
-            ["bogus"],
-            [],
-        ],
-    )
-    def test_help_and_usage_errors_match_a_fresh_parser(self, capsys, argv):
-        with pytest.raises(SystemExit) as fresh:
-            _build_parser.__wrapped__().parse_args(argv)
-        expected = capsys.readouterr()
+    def test_top_level_usage_line(self):
+        _, out, _ = parse_outcome(main, ["--help"])
+        assert out.splitlines()[0] == (
+            "usage: cimodels [-h] {graph,dag,model,formula,enum,repro} ..."
+        )
+
+    @pytest.mark.parametrize("argv", HELP_AND_USAGE_ARGVS)
+    def test_help_and_usage_errors_match_a_fresh_parser(self, argv):
+        expected = parse_outcome(reference_parser().parse_args, argv)
         for _ in range(2):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == fresh.value.code
-            assert capsys.readouterr() == expected
+            assert parse_outcome(main, argv) == expected
+
+    def test_help_and_usage_errors_match_under_a_locale(self):
+        # With a locale variable set, argparse's message lookups take another path.
+        env = {k: v for k, v in os.environ.items() if k not in LOCALE_OVERRIDES}
+        env["LANG"] = "C.UTF-8"
+        paths = [str(Path(cimodels.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", LOCALE_TWIN_CODE, *paths],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert (done.stdout, done.stderr, done.returncode) == ("[]\n", "", 0)
 
 
 class TestRepro:

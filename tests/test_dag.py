@@ -26,6 +26,7 @@ from oracles import (
     dag_count,
     descendants_by_relation,
     nodes_left_by_peeling,
+    random_dag,
     universe_of_size,
 )
 
@@ -42,16 +43,6 @@ def chain():
 
 def counterexample_dag():
     return Dag(universe_of_size(5), frozenset({(1, 2), (0, 2), (0, 3), (4, 3)}))
-
-
-def random_dag(rng, n, p=0.4):
-    order = list(range(n))
-    rng.shuffle(order)
-    arcs = set()
-    for i, j in combinations(range(n), 2):
-        if rng.random() < p:
-            arcs.add((order[i], order[j]))
-    return Dag(universe_of_size(n), frozenset(arcs))
 
 
 class TestDagInvariants:

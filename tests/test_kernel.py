@@ -28,19 +28,11 @@ from cimodels.ugraph import UndirectedGraph, enumerate_undirected_graphs, reacha
 from oracles import (
     d_separates_by_paths,
     dependent_always_by_triples,
+    random_dag,
     separated_keys_reference,
     separates_by_paths,
     universe_of_size,
 )
-
-
-def random_dag(rng, n):
-    order = list(range(n))
-    rng.shuffle(order)
-    arcs = {
-        (order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4
-    }
-    return Dag(universe_of_size(n), frozenset(arcs))
 
 
 def random_graph(rng, n):
