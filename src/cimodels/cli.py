@@ -10,9 +10,9 @@ all, exiting 2 with an error that names stdout when it cannot take the text.
 Each handler imports the library modules it runs, so a command loads only
 those: ``enum`` and the ``graph``/``dag`` queries load neither the logic nor
 the recognizers, ``model check`` no logic, ``formula`` no recognizer.
-Likewise ``main`` builds the parser of the command it is given and no other;
-help before a command, an unknown command and every usage error get the
-parser of all commands, so argparse words them as it always has.
+Likewise ``main`` builds the parser of the command it is given and no other,
+and parses once; help before a command, an unknown command and no command get
+the parser of all commands.
 """
 
 from __future__ import annotations
@@ -22,33 +22,25 @@ import errno
 import sys
 from functools import cache
 from pathlib import Path
-from typing import NoReturn
 
 from . import formats
 from .core import Universe, ValuationBudgetError
 from .dag import acyclic_arc_masks, enumerate_dags
 
 
-class _UsageError(Exception):
-    """A usage error met by a one-command parser; ``main`` parses again with
-    every command, so the message is worded as the whole tree words it."""
-
-
-class _OneCommandParser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
-        raise _UsageError
-
-
 @cache
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The argument parser for one command, or for all of them when
     ``command`` is None; each built once per process: parsing reads it and
-    leaves it as it was, and each call gets a fresh namespace."""
-    parser = (argparse.ArgumentParser if command is None else _OneCommandParser)(
+    leaves it as it was, and each call gets a fresh namespace. Either way the
+    usage line names every command, so usage errors read the same."""
+    parser = argparse.ArgumentParser(
         prog="cimodels",
+        usage=f"%(prog)s [-h] {{{','.join(_COMMANDS)}}} ...",
         description="Separation and d-separation models, representability, and formula checks.",
     )
-    top = parser.add_subparsers(dest="command", required=True)
+    # A command's prog would otherwise be derived from the usage line above.
+    top = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name in _COMMANDS if command is None else (command,):
         help_text, add_arguments, _ = _COMMANDS[name]
         add_arguments(top.add_parser(name, help=help_text))
@@ -260,13 +252,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        # Only a known first word names the one command to build; help before
-        # it, an unknown command or no command at all need the whole tree.
-        parser = _build_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
-        args = parser.parse_args(argv)
-    except _UsageError:
-        args = _build_parser().parse_args(argv)  # parsing has no side effects
+    # Help before a command, an unknown command or none at all need the whole tree.
+    parser = _build_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
+    args = parser.parse_args(argv)
     try:
         if [] in vars(args).values():  # argparse before 3.13 reads '--query=--' as []
             raise ValueError("an option's value cannot be '--'")

@@ -409,9 +409,11 @@ class TestParserReuse:
             (["enum", "dags", "--n", "4", "--count"], 3),  # top, enum, enum dags
             (["repro", "counterexample", "--help"], 3),
             (["model", "check", "--help"], 4),  # top, model, restrict, check
-            (["enum", "dags"], 3 + 17),  # a usage error: the whole tree words it
+            (["enum", "dags"], 3),  # a usage error
             (["-h", "enum"], 17),
             ([], 17),
+            (["enum", "dags", "--n", "4", "extra"], 3),  # usage errors
+            (["model", "check", "--model", "x", "--class", "bogus"], 4),
         ],
     )
     def test_parsers_built(self, argv, built):
